@@ -1,8 +1,9 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the reproduction's design choices:
 //!
 //! - truncation radius β (paper default 5);
 //! - SPAI pruning threshold δ (paper default 0.1);
-//! - diagonal grounding scale (the reproduction finding of DESIGN.md §3);
+//! - diagonal grounding scale (a vanishing shift defeats Algorithm 1's
+//!   max-relative pruning, hence `SparsifyConfig`'s 1e-3 default);
 //! - densification iteration count `N_r` (paper default 5);
 //! - spanning-tree flavour (MEWST vs plain max-weight);
 //! - similar-edge exclusion on/off.

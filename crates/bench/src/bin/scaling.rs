@@ -1,11 +1,11 @@
 //! Scaling study: how the trace-reduction advantage over GRASS grows
 //! with problem size.
 //!
-//! EXPERIMENTS.md observes that the measured κ-reduction (1.9× at ~10k
-//! nodes) trails the paper's 2.6× (at 0.5M–4M nodes) and attributes the
-//! gap to scale. This binary makes that claim checkable: it sweeps one
-//! Table-1 case over `--scale`-multiplied sizes and prints the reduction
-//! factors per size.
+//! The κ-reduction measured on the ~10k-node Table 1 analogs trails the
+//! paper's 2.6× (reported at 0.5M–4M nodes), and scale is the suspected
+//! cause. This binary makes that claim checkable: it sweeps one Table-1
+//! case over `--scale`-multiplied sizes and prints the reduction factors
+//! per size.
 //!
 //! Usage: `scaling [--scale f] [--case name]` (the sweep is multiplied
 //! by `--scale`; default covers ~500 → ~50k nodes).

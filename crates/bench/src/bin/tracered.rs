@@ -86,7 +86,9 @@ fn load(path: &str) -> Result<MmGraph, String> {
     read_graph_path(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Grounding: file slack plus a relative floor, as DESIGN.md §3 requires.
+/// Grounding: file slack plus a floor of 1e-3 of the mean weighted
+/// degree, the default shift of `SparsifyConfig` (a vanishing shift
+/// defeats Algorithm 1's max-relative pruning).
 fn grounding(mm: &MmGraph) -> Vec<f64> {
     let n = mm.graph.num_nodes().max(1);
     let floor = 1e-3 * 2.0 * mm.graph.total_weight() / n as f64;

@@ -50,8 +50,10 @@ fn dim3(base: usize, scale: f64) -> usize {
     ((base as f64 * scale.cbrt()).round() as usize).max(3)
 }
 
-/// The ten sparsification cases of Table 1 (synthetic analogs, see
-/// DESIGN.md §2 for the substitution rationale).
+/// The ten sparsification cases of Table 1, as synthetic analogs: the
+/// paper's SuiteSparse matrices are not shipped with the workspace, so
+/// each case generates a graph of the same family and names the matrix
+/// it stands in for in [`Case::analog_of`].
 pub fn table1_cases() -> Vec<Case> {
     vec![
         Case {

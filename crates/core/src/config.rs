@@ -95,9 +95,10 @@ impl SparsifyConfig {
             // matrices additionally carry physical diagonal dominance
             // (ground conductance). A vanishing shift makes L⁻¹'s columns
             // share a huge near-nullspace tail that defeats Algorithm 1's
-            // max-relative pruning (see DESIGN.md §3 and the shift-sweep
-            // ablation bench), so the default grounds at 1e-3 of the mean
-            // weighted degree — the scale the paper's benchmarks live at.
+            // max-relative pruning (the grounding sweep of the `ablation`
+            // bench binary measures this), so the default grounds at 1e-3
+            // of the mean weighted degree — the scale the paper's
+            // benchmarks live at.
             shift: ShiftPolicy::RelativeMeanDegree(1e-3),
             grass_power_steps: 2,
             grass_num_vectors: 3,

@@ -52,8 +52,6 @@ pub mod jl;
 pub mod metrics;
 #[warn(clippy::unwrap_used)]
 pub mod partitioned;
-#[warn(clippy::unwrap_used)]
-pub mod rescore;
 pub mod similarity;
 #[warn(clippy::unwrap_used)]
 pub mod sparsify;
@@ -65,7 +63,6 @@ pub use partitioned::{
     sparsify_partitioned, BoundaryPolicy, PartitionStats, PartitionedConfig, PartitionedReport,
     PartitionedSparsifier,
 };
-pub use rescore::{rescore_affected_partition, Rescore, RescoreReport};
 pub use sparsify::{sparsify, IterationStats, Sparsifier, SparsifyReport};
 
 // Shared-handle audit: the service layer keeps `Arc<Sparsifier>` handles

@@ -108,7 +108,8 @@ fn subgraph_phase_default_spai_preserves_top_ranking() {
     sub.extend(off.iter().take(4).copied());
     let candidates: Vec<usize> = off.iter().skip(4).copied().collect();
     // A physically-meaningful grounding scale: Algorithm 1's max-relative
-    // pruning needs the inverse factor to be localized (see DESIGN.md §3).
+    // pruning needs the inverse factor to be localized, and a vanishing
+    // shift gives every column of L⁻¹ the same near-nullspace tail.
     let shifts = vec![5e-3; n];
     let ls = subgraph_laplacian(&g, &sub, &shifts);
     let factor = CholeskyFactor::factorize(&ls, Ordering::MinDegree).unwrap();

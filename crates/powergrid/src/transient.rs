@@ -519,7 +519,9 @@ pub fn simulate_direct_varied(
 /// # Errors
 ///
 /// Returns [`SparseError::NotPositiveDefinite`] if the DC system cannot be
-/// factorized for the initial condition.
+/// factorized for the initial condition, and
+/// [`SparseError::InvalidValue`] if a step's PCG solve breaks down or the
+/// voltage state goes non-finite.
 ///
 /// # Panics
 ///
@@ -553,6 +555,9 @@ pub fn simulate_pcg(
 /// `solve_time` is the batch stepping time divided by `k` (amortized
 /// per-scenario cost); `total_pcg_iterations` is per scenario.
 ///
+/// The stepping loop is [`simulate_pcg_batch_outcomes`]'s; this entry
+/// point turns its first abandoned scenario into an error.
+///
 /// ```
 /// use tracered_core::{Method, SparsifyConfig};
 /// use tracered_graph::laplacian::ShiftPolicy;
@@ -581,12 +586,16 @@ pub fn simulate_pcg(
 /// # Errors
 ///
 /// Returns [`SparseError::NotPositiveDefinite`] if the DC system cannot be
-/// factorized for the initial conditions.
+/// factorized for the initial conditions, and
+/// [`SparseError::InvalidValue`] — naming the scenario, the step and the
+/// reason ([`ScenarioFailure`]) — for the first scenario that the
+/// outcomes loop abandons: a scale vector whose length disagrees with the
+/// source count or that holds a non-finite entry, a non-finite voltage
+/// state, or a PCG breakdown.
 ///
 /// # Panics
 ///
-/// Panics if a probe node is out of bounds, `scenarios` is empty, or a
-/// scenario's scale length disagrees with the source count.
+/// Panics if a probe node is out of bounds or `scenarios` is empty.
 pub fn simulate_pcg_batch(
     pg: &PowerGrid,
     cfg: &TransientConfig,
@@ -594,103 +603,15 @@ pub fn simulate_pcg_batch(
     probe_nodes: &[usize],
     scenarios: &[SourceScenario],
 ) -> Result<Vec<TransientResult>, SparseError> {
-    let n = pg.num_nodes();
-    let k = scenarios.len();
-    assert!(probe_nodes.iter().all(|&p| p < n), "probe nodes must be in bounds");
-    assert!(k > 0, "at least one scenario is required");
-    let mut span = tracered_obs::span!("transient.run", { n: n, scenarios: k });
-    let waveforms: Vec<_> = pg.sources().iter().map(|s| s.waveform).collect();
-    let grid = merged_time_grid(&waveforms, cfg.t_end, cfg.max_step);
-
-    let mut v = dc_points_batch_threads(pg, scenarios, cfg.kernel, cfg.factor_threads.max(1))?;
-    let mut rhs = MultiVec::zeros(n, k);
-    let mut times = vec![grid[0]];
-    let mut probes: Vec<Vec<Vec<f64>>> = scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, _)| probe_nodes.iter().map(|&p| vec![v.col(s)[p]]).collect())
-        .collect();
-    let opts = PcgOptions {
-        rel_tolerance: cfg.pcg_tol,
-        max_iterations: 10_000,
-        threads: cfg.threads.max(1),
-    };
-    let g_matrix = pg.conductance_shared();
-    // For the trapezoidal rule the step matrix is G/2 + C/h; backward
-    // Euler shares the memoized G outright instead of deep-cloning it.
-    let g_for_system = match cfg.scheme {
-        IntegrationScheme::BackwardEuler => Arc::clone(&g_matrix),
-        IntegrationScheme::Trapezoidal => {
-            let mut half = (*g_matrix).clone();
-            for val in half.values_mut() {
-                *val *= 0.5;
-            }
-            Arc::new(half)
-        }
-    };
-    let cap = pg.capacitance();
-    let mut gv = vec![0.0; n];
-    let t_solve = Instant::now();
-    let mut total_iters = vec![0usize; k];
-    let mut steps = 0usize;
-    for w in grid.windows(2) {
-        let _step = tracered_obs::span!("transient.step", { step: steps, width: k });
-        let (t0, t1) = (w[0], w[1]);
-        let h = t1 - t0;
-        // A = G + C/h (or G/2 + C/h), a diagonal update of the cached G.
-        let shifts: Vec<f64> = cap.iter().map(|&c| c / h).collect();
-        let a = g_for_system
-            .add_diagonal(&shifts)
-            .expect("conductance matrix is square by construction");
-        for (s, sc) in scenarios.iter().enumerate() {
-            step_rhs(
-                pg,
-                cfg.scheme,
-                t0,
-                t1,
-                h,
-                v.col(s),
-                sc.scales(),
-                &g_matrix,
-                &mut gv,
-                rhs.col_mut(s),
-            );
-        }
-        let sol = block_pcg_with_guess(&a, &rhs, Some(&v), preconditioner, &opts);
-        for (total, its) in total_iters.iter_mut().zip(sol.iterations.iter()) {
-            *total += its;
-        }
-        v = sol.x;
-        steps += 1;
-        times.push(t1);
-        for (s, scenario_probes) in probes.iter_mut().enumerate() {
-            for (trace, &p) in scenario_probes.iter_mut().zip(probe_nodes.iter()) {
-                trace.push(v.col(s)[p]);
-            }
-        }
-    }
-    let solve_time = t_solve.elapsed() / k as u32;
-    if let Some(g) = span.as_mut() {
-        g.arg("steps", steps as f64);
-        g.arg("pcg_iterations", total_iters.iter().sum::<usize>() as f64);
-    }
-    Ok(probes
+    simulate_pcg_batch_outcomes(pg, cfg, preconditioner, probe_nodes, scenarios)?
         .into_iter()
-        .zip(total_iters)
-        .map(|(scenario_probes, iters)| TransientResult {
-            times: times.clone(),
-            probes: scenario_probes,
-            stats: TransientStats {
-                steps,
-                factor_time: Duration::ZERO,
-                solve_time,
-                total_pcg_iterations: iters,
-                avg_pcg_iterations: if steps > 0 { iters as f64 / steps as f64 } else { 0.0 },
-                memory_bytes: preconditioner.memory_bytes(),
-                factorizations: 0,
-            },
+        .map(|outcome| match outcome {
+            ScenarioOutcome::Completed(result) => Ok(result),
+            ScenarioOutcome::Failed(fail) => {
+                Err(SparseError::InvalidValue { what: fail.to_string() })
+            }
         })
-        .collect())
+        .collect()
 }
 
 /// Why one scenario of a batch transient run was abandoned while the rest
@@ -814,9 +735,9 @@ fn keep_columns(src: &MultiVec, keep: &[usize]) -> MultiVec {
     out
 }
 
-/// Fault-tolerant variant of [`simulate_pcg_batch`]: instead of aborting
-/// the whole ensemble on the first bad scenario, returns one
-/// [`ScenarioOutcome`] per input, in order.
+/// The variable-step PCG stepping loop behind [`simulate_pcg_batch`] and
+/// [`simulate_pcg`]. Instead of aborting the whole ensemble on the first
+/// bad scenario, it returns one [`ScenarioOutcome`] per input, in order.
 ///
 /// A scenario is abandoned (and the batch narrowed) when
 ///
@@ -825,8 +746,7 @@ fn keep_columns(src: &MultiVec, keep: &[usize]) -> MultiVec {
 /// - its DC operating point or advanced voltage state goes non-finite, or
 /// - the blocked PCG classifies its column as a breakdown
 ///   ([`TerminationReason::is_breakdown`]; plain `MaxIterations` is *not*
-///   a breakdown, matching [`simulate_pcg_batch`]'s tolerance of
-///   unconverged steps).
+///   a breakdown, so an unconverged step is tolerated).
 ///
 /// The block-PCG column recurrences are independent (see
 /// [`tracered_solver::block`]), so dropping a failed column leaves every
@@ -910,6 +830,8 @@ pub fn simulate_pcg_batch_outcomes(
         threads: cfg.threads.max(1),
     };
     let g_matrix = pg.conductance_shared();
+    // For the trapezoidal rule the step matrix is G/2 + C/h; backward
+    // Euler shares the memoized G outright instead of deep-cloning it.
     let g_for_system = match cfg.scheme {
         IntegrationScheme::BackwardEuler => Arc::clone(&g_matrix),
         IntegrationScheme::Trapezoidal => {
@@ -922,6 +844,7 @@ pub fn simulate_pcg_batch_outcomes(
     };
     let cap = pg.capacitance();
     let mut gv = vec![0.0; n];
+    let mut rhs = MultiVec::zeros(n, active.len());
     let t_solve = Instant::now();
     let mut steps = 0usize;
     for w in grid.windows(2) {
@@ -931,11 +854,11 @@ pub fn simulate_pcg_batch_outcomes(
         let _step = tracered_obs::span!("transient.step", { step: steps, width: active.len() });
         let (t0, t1) = (w[0], w[1]);
         let h = t1 - t0;
+        // A = G + C/h (or G/2 + C/h), a diagonal update of the cached G.
         let shifts: Vec<f64> = cap.iter().map(|&c| c / h).collect();
         let a = g_for_system
             .add_diagonal(&shifts)
             .expect("conductance matrix is square by construction");
-        let mut rhs = MultiVec::zeros(n, active.len());
         for (i, &s) in active.iter().enumerate() {
             step_rhs(
                 pg,
@@ -981,6 +904,7 @@ pub fn simulate_pcg_batch_outcomes(
             total_iters = keep.iter().map(|&i| total_iters[i]).collect();
             probes = keep.iter().map(|&i| std::mem::take(&mut probes[i])).collect();
             active = keep.iter().map(|&i| active[i]).collect();
+            rhs = MultiVec::zeros(n, active.len());
         }
         for (i, scenario_probes) in probes.iter_mut().enumerate() {
             for (trace, &p) in scenario_probes.iter_mut().zip(probe_nodes.iter()) {
@@ -994,6 +918,7 @@ pub fn simulate_pcg_batch_outcomes(
         if survivors > 0 { t_solve.elapsed() / survivors as u32 } else { Duration::ZERO };
     if let Some(g) = span.as_mut() {
         g.arg("steps", steps as f64);
+        g.arg("pcg_iterations", total_iters.iter().sum::<usize>() as f64);
         g.arg("survivors", survivors as f64);
     }
     let mut results: Vec<Option<TransientResult>> = vec![None; scenarios.len()];
@@ -1407,22 +1332,87 @@ mod tests {
         }
     }
 
+    /// The nominal backward-Euler PCG transient rebuilt one step at a time
+    /// from public calls: probe traces and total PCG iterations.
+    fn per_step_reference(
+        pg: &PowerGrid,
+        cfg: &TransientConfig,
+        pre: &CholPreconditioner,
+        probe_nodes: &[usize],
+    ) -> (Vec<Vec<f64>>, usize) {
+        let waveforms: Vec<_> = pg.sources().iter().map(|s| s.waveform).collect();
+        let grid = merged_time_grid(&waveforms, cfg.t_end, cfg.max_step);
+        let g = pg.conductance_shared();
+        let opts = PcgOptions { rel_tolerance: cfg.pcg_tol, max_iterations: 10_000, threads: 1 };
+        let mut v = dc_operating_point(pg).unwrap();
+        let mut traces: Vec<Vec<f64>> = probe_nodes.iter().map(|&p| vec![v[p]]).collect();
+        let mut rhs = vec![0.0; v.len()];
+        let mut iterations = 0;
+        for w in grid.windows(2) {
+            let h = w[1] - w[0];
+            let shifts: Vec<f64> = pg.capacitance().iter().map(|&c| c / h).collect();
+            let a = g.add_diagonal(&shifts).unwrap();
+            pg.transient_rhs(w[1], h, &v, &mut rhs);
+            let sol = tracered_solver::pcg::pcg_with_guess(&a, &rhs, Some(&v[..]), pre, &opts);
+            iterations += sol.iterations;
+            v = sol.x;
+            for (trace, &p) in traces.iter_mut().zip(probe_nodes) {
+                trace.push(v[p]);
+            }
+        }
+        (traces, iterations)
+    }
+
     #[test]
-    fn pcg_outcomes_match_batch_when_everything_is_healthy() {
+    fn pcg_outcomes_match_a_per_step_reference_when_healthy() {
         let pg = small_grid();
         let (near, far) = probe_pair(&pg);
         let probes = [near, far];
         let cfg = TransientConfig { t_end: 1e-9, pcg_tol: 1e-8, ..Default::default() };
         let pre = CholPreconditioner::from_matrix(&pg.conductance_matrix()).unwrap();
         let scenarios = scenario_ensemble(&pg, 4);
-        let batch = simulate_pcg_batch(&pg, &cfg, &pre, &probes, &scenarios).unwrap();
         let outcomes = simulate_pcg_batch_outcomes(&pg, &cfg, &pre, &probes, &scenarios).unwrap();
         assert_eq!(outcomes.len(), 4);
-        for (s, out) in outcomes.iter().enumerate() {
-            let r = out.result().expect("healthy scenario must complete");
-            assert_eq!(max_trace_gap(r, &batch[s]), 0.0, "scenario {s}");
-            assert_eq!(r.stats.total_pcg_iterations, batch[s].stats.total_pcg_iterations);
+        assert!(outcomes.iter().all(ScenarioOutcome::is_completed), "healthy scenarios complete");
+        // Block PCG repeats single-RHS PCG column for column, so the
+        // nominal column equals the reference under `==` (which also
+        // equates the signed zeros the block contract lets differ).
+        let nominal = outcomes[0].result().unwrap();
+        let (traces, iterations) = per_step_reference(&pg, &cfg, &pre, &probes);
+        assert_eq!(nominal.probes, traces);
+        assert_eq!(nominal.stats.total_pcg_iterations, iterations);
+    }
+
+    /// The `InvalidValue` text `simulate_pcg_batch` returns for `scenarios`.
+    fn pcg_batch_error(pg: &PowerGrid, scenarios: &[SourceScenario]) -> String {
+        let cfg = TransientConfig { t_end: 2e-10, ..Default::default() };
+        let pre = CholPreconditioner::from_matrix(&pg.conductance_matrix()).unwrap();
+        match simulate_pcg_batch(pg, &cfg, &pre, &[0], scenarios) {
+            Err(SparseError::InvalidValue { what }) => what,
+            other => panic!("expected a typed error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn pcg_batch_reports_a_nan_scale_as_a_typed_error() {
+        let pg = small_grid();
+        let mut scales = vec![1.0; pg.sources().len()];
+        scales[3] = f64::NAN;
+        let what =
+            pcg_batch_error(&pg, &[SourceScenario::nominal(), SourceScenario::per_source(scales)]);
+        assert!(what.contains("scenario 1 failed at step 0"), "{what}");
+        assert!(what.contains("non-finite source scale NaN at index 3"), "{what}");
+    }
+
+    #[test]
+    fn pcg_batch_reports_a_wrong_scale_length_as_a_typed_error() {
+        let pg = small_grid();
+        let what = pcg_batch_error(
+            &pg,
+            &[SourceScenario::nominal(), SourceScenario::per_source(vec![1.0, 2.0])],
+        );
+        assert!(what.contains("scenario 1 failed at step 0"), "{what}");
+        assert!(what.contains("scale vector has 2 entries"), "{what}");
     }
 
     #[test]

@@ -15,11 +15,6 @@
 //! cost. The context is strictly read-only after construction (the lazily
 //! built direct factor is memoized through a [`OnceLock`], preserving
 //! `Sync`), and a compile-time assertion pins the `Send + Sync` audit.
-//!
-//! [`robust_solve_shared`] is the context-reusing twin of
-//! [`crate::robust::robust_solve`]: stage 1 runs against the prebuilt
-//! preconditioner instead of refactorizing, and performs exactly the same
-//! arithmetic — both entry points drive one shared escalation core.
 
 use std::sync::{Arc, OnceLock};
 
@@ -28,7 +23,6 @@ use tracered_sparse::regularize::{factorize_regularized_kernel, scan_non_finite}
 use tracered_sparse::{BoostSchedule, CholeskyFactor, CscMatrix, KernelVariant, SparseError};
 
 use crate::precond::{CholPreconditioner, Preconditioner};
-use crate::robust::{robust_core, RobustSolution, RobustSolveConfig};
 
 /// An immutable, `Arc`-shared bundle of everything a solve needs besides
 /// the right-hand side: the system matrix, the preconditioner matrix it
@@ -44,8 +38,8 @@ use crate::robust::{robust_core, RobustSolution, RobustSolveConfig};
 /// use std::sync::Arc;
 /// use tracered_graph::gen::{grid2d, WeightProfile};
 /// use tracered_graph::laplacian::laplacian_with_shifts;
-/// use tracered_solver::context::{robust_solve_shared, SolverContext};
-/// use tracered_solver::RobustSolveConfig;
+/// use tracered_solver::context::SolverContext;
+/// use tracered_solver::pcg::{pcg, PcgOptions};
 /// use tracered_sparse::BoostSchedule;
 ///
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
@@ -53,10 +47,10 @@ use crate::robust::{robust_core, RobustSolution, RobustSolveConfig};
 /// let a = Arc::new(laplacian_with_shifts(&g, &vec![0.05; 64]));
 /// let ctx = SolverContext::build(Arc::clone(&a), a, &BoostSchedule::default(), 1)?;
 /// // The factorization above is paid once; every request reuses it.
-/// let cfg = RobustSolveConfig::default();
 /// for seed in 0..3u64 {
 ///     let b: Vec<f64> = (0..64).map(|i| ((i as u64 * 7 + seed) % 5) as f64 - 2.0).collect();
-///     assert!(robust_solve_shared(&ctx, &b, &cfg)?.converged());
+///     let sol = pcg(ctx.system(), &b, ctx.preconditioner(), &PcgOptions::default());
+///     assert!(sol.converged);
 /// }
 /// # Ok(())
 /// # }
@@ -206,11 +200,6 @@ impl SolverContext {
         &self.system
     }
 
-    /// The system matrix as a shared handle.
-    pub fn system_shared(&self) -> Arc<CscMatrix> {
-        Arc::clone(&self.system)
-    }
-
     /// The matrix the preconditioner was factorized from.
     pub fn precond_matrix(&self) -> &CscMatrix {
         &self.precond_matrix
@@ -219,14 +208,6 @@ impl SolverContext {
     /// The factorized preconditioner.
     pub fn preconditioner(&self) -> &CholPreconditioner {
         &self.preconditioner
-    }
-
-    /// The factorized preconditioner as a shared handle — what the batch
-    /// transient engines ([`simulate_pcg_batch`] and friends) borrow.
-    ///
-    /// [`simulate_pcg_batch`]: https://docs.rs/tracered-powergrid
-    pub fn preconditioner_shared(&self) -> Arc<CholPreconditioner> {
-        Arc::clone(&self.preconditioner)
     }
 
     /// Diagonal shift the boost ladder applied to the preconditioner
@@ -294,47 +275,10 @@ impl SolverContext {
     }
 }
 
-/// [`crate::robust::robust_solve`] against a prebuilt [`SolverContext`]:
-/// identical escalation chain and arithmetic, but stage 1 reuses the
-/// context's factorized preconditioner instead of refactorizing the
-/// preconditioner matrix per call. This is the entry point the service
-/// layer drives — under request aggregation the stage-1 factorization
-/// would otherwise dominate every solve.
-///
-/// # Errors
-///
-/// [`SparseError::DimensionMismatch`] / [`SparseError::InvalidValue`] for
-/// a malformed right-hand side or ladder, plus the direct stage's
-/// factorization error when the entire ladder fails on the system matrix.
-pub fn robust_solve_shared(
-    ctx: &SolverContext,
-    b: &[f64],
-    cfg: &RobustSolveConfig,
-) -> Result<RobustSolution, SparseError> {
-    let n = ctx.dimension();
-    if b.len() != n {
-        return Err(SparseError::DimensionMismatch { expected: n, found: b.len() });
-    }
-    cfg.boost.validate()?;
-    if let Some(i) = b.iter().position(|v| !v.is_finite()) {
-        return Err(SparseError::InvalidValue {
-            what: format!("non-finite right-hand side entry at index {i}"),
-        });
-    }
-    robust_core(
-        ctx.system(),
-        ctx.precond_matrix(),
-        Some((ctx.preconditioner(), ctx.applied_shift())),
-        b,
-        cfg,
-    )
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::robust::robust_solve;
     use tracered_graph::gen::{grid2d, WeightProfile};
     use tracered_graph::laplacian::laplacian_with_shifts;
 
@@ -344,34 +288,6 @@ mod tests {
         let m = Arc::clone(&a);
         let b: Vec<f64> = (0..100).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
         (a, m, b)
-    }
-
-    #[test]
-    fn shared_solve_matches_by_value_solve_bitwise() {
-        let (a, m, b) = system();
-        let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build(Arc::clone(&a), Arc::clone(&m), &cfg.boost, 1).unwrap();
-        let shared = robust_solve_shared(&ctx, &b, &cfg).unwrap();
-        let owned = robust_solve(&a, &b, &m, &cfg).unwrap();
-        assert_eq!(shared.strategy, owned.strategy);
-        assert_eq!(shared.reason, owned.reason);
-        assert_eq!(shared.attempts.len(), owned.attempts.len());
-        for (s, o) in shared.x.iter().zip(owned.x.iter()) {
-            assert!((s - o).abs() == 0.0, "shared context must not change the arithmetic");
-        }
-    }
-
-    #[test]
-    fn context_reuse_shares_one_factorization() {
-        let (a, m, b) = system();
-        let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build(a, m, &cfg.boost, 1).unwrap();
-        let pre_before = Arc::as_ptr(&ctx.preconditioner_shared());
-        for _ in 0..3 {
-            assert!(robust_solve_shared(&ctx, &b, &cfg).unwrap().converged());
-        }
-        // The preconditioner handle is the same allocation across solves.
-        assert_eq!(pre_before, Arc::as_ptr(&ctx.preconditioner_shared()));
     }
 
     #[test]
@@ -399,23 +315,6 @@ mod tests {
         assert!(matches!(
             SolverContext::build(Arc::new(bad), a, &BoostSchedule::default(), 1),
             Err(SparseError::NonFiniteValue { .. })
-        ));
-    }
-
-    #[test]
-    fn shared_solve_validates_rhs() {
-        let (a, m, b) = system();
-        let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build(a, m, &cfg.boost, 1).unwrap();
-        assert!(matches!(
-            robust_solve_shared(&ctx, &b[..50], &cfg),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
-        let mut bad = b;
-        bad[7] = f64::INFINITY;
-        assert!(matches!(
-            robust_solve_shared(&ctx, &bad, &cfg),
-            Err(SparseError::InvalidValue { .. })
         ));
     }
 }

@@ -18,9 +18,8 @@
 //! - [`robust`]: the [`robust_solve`] escalation chain — PCG → refreshed
 //!   boosted preconditioner → direct solve, with per-attempt diagnostics;
 //! - [`context`]: `Arc`-shared immutable solver contexts
-//!   ([`SolverContext`]) and the context-reusing [`robust_solve_shared`]
-//!   — factorize once, serve many; the ownership layer under
-//!   `tracered-service`.
+//!   ([`SolverContext`]) — factorize once, serve many; the ownership
+//!   layer under `tracered-service`.
 //!
 //! # Example
 //!
@@ -59,7 +58,7 @@ pub mod robust;
 pub mod termination;
 
 pub use block::{block_pcg, block_pcg_with_guess, BlockPcgSolution};
-pub use context::{robust_solve_shared, SolverContext};
+pub use context::SolverContext;
 pub use direct::DirectSolver;
 pub use pcg::{pcg, PcgOptions, PcgSolution};
 pub use precond::{

@@ -228,43 +228,20 @@ pub fn robust_solve(
         });
     }
     let ft = cfg.factor_threads.max(1);
-
-    // Stage-1 factorization of the caller's preconditioner matrix. An
-    // unfactorizable preconditioner is not fatal — the chain continues
-    // without it. Callers holding a `SolverContext` skip this per-call
-    // cost entirely via `robust_solve_shared`.
-    let stage1_factor =
-        factorize_regularized_kernel(precond_matrix, cfg.ordering, cfg.kernel, ft, &cfg.boost);
-    let stage1 = stage1_factor.ok().map(|RegularizedFactor { factor, applied_shift, .. }| {
-        (CholPreconditioner::from_factor(factor), applied_shift)
-    });
-    robust_core(a, precond_matrix, stage1.as_ref().map(|(p, s)| (p, *s)), b, cfg)
-}
-
-/// The escalation chain shared by [`robust_solve`] (which factorizes the
-/// preconditioner per call) and
-/// [`crate::context::robust_solve_shared`] (which reuses a prebuilt
-/// [`crate::context::SolverContext`]). Inputs are assumed validated;
-/// `stage1` carries the factorized preconditioner and its applied shift,
-/// or `None` when no preconditioner could be built.
-pub(crate) fn robust_core(
-    a: &CscMatrix,
-    precond_matrix: &CscMatrix,
-    stage1: Option<(&CholPreconditioner, f64)>,
-    b: &[f64],
-    cfg: &RobustSolveConfig,
-) -> Result<RobustSolution, SparseError> {
-    let n = a.ncols();
-    let ft = cfg.factor_threads.max(1);
     let tol = cfg.pcg.rel_tolerance;
     let mut attempts: Vec<SolveAttempt> = Vec::new();
 
-    // Stage 1: PCG with the (boosted if necessary) preconditioner.
+    // Stage 1: PCG with the (boosted if necessary) factorization of the
+    // caller's preconditioner matrix. An unfactorizable preconditioner is
+    // not fatal — the chain continues without it.
     let mut best_x: Option<Vec<f64>> = None;
     let mut stage1_shift = 0.0;
-    if let Some((pre, applied_shift)) = stage1 {
+    if let Ok(RegularizedFactor { factor, applied_shift, .. }) =
+        factorize_regularized_kernel(precond_matrix, cfg.ordering, cfg.kernel, ft, &cfg.boost)
+    {
         stage1_shift = applied_shift;
-        let sol = pcg_with_guess(a, b, None, pre, &cfg.pcg);
+        let pre = CholPreconditioner::from_factor(factor);
+        let sol = pcg_with_guess(a, b, None, &pre, &cfg.pcg);
         attempts.push(attempt_of(SolveStrategy::Pcg, &sol, applied_shift));
         if sol.converged {
             return Ok(RobustSolution {

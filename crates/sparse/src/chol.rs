@@ -76,8 +76,8 @@ impl SymbolicCholesky {
         self.lcolptr.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Per-column cost model for the level-set schedule: the square of
-    /// the factor column count, the standard flop proxy for the
+    /// Per-column cost model for [`crate::etree::EtreeSchedule`]: the
+    /// square of the factor column count, the standard flop proxy for the
     /// up-looking kernel (row `k`'s triangular solve streams every
     /// descendant column once per nonzero it contributes).
     pub fn column_costs(&self) -> Vec<u64> {
@@ -384,19 +384,6 @@ impl CholeskyFactor {
                 xc[self.perm.new_to_old(k)] = tmp[k];
             }
         }
-    }
-
-    /// Solves `L y = e_i` style systems in the **permuted** index space:
-    /// applies the forward substitution only, on a caller-managed dense
-    /// vector. Used by the trace-reduction kernels that work directly with
-    /// factor columns.
-    pub fn lsolve_permuted(&self, x: &mut [f64]) {
-        lsolve_in_place(&self.l, x);
-    }
-
-    /// Backward substitution `Lᵀ x = y` in the permuted index space.
-    pub fn ltsolve_permuted(&self, x: &mut [f64]) {
-        ltsolve_in_place(&self.l, x);
     }
 }
 

@@ -1,7 +1,6 @@
 //! Compressed sparse column storage, the format used by the Cholesky stack.
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::SparseError;
 use crate::multivec::MultiVec;
@@ -393,12 +392,6 @@ impl CscMatrix {
         // Row indices within each output column are automatically sorted
         // because we sweep source columns in increasing order.
         CscMatrix { nrows: self.ncols, ncols: self.nrows, colptr, rowidx, values }
-    }
-
-    /// Converts to compressed sparse row format.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let t = self.transpose();
-        CsrMatrix::from_csc_transpose(t)
     }
 
     /// Converts to a dense matrix (intended for small test problems).

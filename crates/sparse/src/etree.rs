@@ -1,6 +1,6 @@
 //! Elimination trees and row-subtree traversal (the symbolic backbone of
-//! sparse Cholesky), in the style of CSparse — plus the level-set
-//! schedule that drives the parallel numeric factorization.
+//! sparse Cholesky), in the style of CSparse — plus the subtree schedule
+//! ([`EtreeSchedule`]) that drives the parallel numeric factorization.
 
 use crate::csc::CscMatrix;
 
@@ -140,53 +140,6 @@ pub fn column_counts(upper: &CscMatrix, parent: &[usize]) -> Vec<usize> {
     counts
 }
 
-/// Bottom-up level sets of an elimination forest: level 0 holds the
-/// leaves, and every node sits one level above its deepest child, so a
-/// node's parent is always in a **strictly later** level.
-///
-/// Columns whose etree nodes share a level have disjoint row subtrees
-/// below the already-finished levels, which makes the level sets the
-/// correctness frame of the parallel numeric factorization: any
-/// execution that finishes all of a node's descendants before the node
-/// itself (subtree tasks, level barriers, …) computes each factor
-/// column from exactly the serial kernel's inputs.
-///
-/// Within each level the columns are listed in increasing order; the
-/// sets partition `0..parent.len()`.
-///
-/// ```
-/// use tracered_sparse::{etree, CooMatrix};
-///
-/// # fn main() -> Result<(), tracered_sparse::SparseError> {
-/// // Tridiagonal: the etree is the path 0 → 1 → 2, one node per level.
-/// let mut coo = CooMatrix::new(3, 3);
-/// for i in 0..3 { coo.push(i, i, 2.0)?; }
-/// coo.push(0, 1, -1.0)?;
-/// coo.push(1, 2, -1.0)?;
-/// let parent = etree::elimination_tree(&coo.to_csc());
-/// assert_eq!(etree::level_sets(&parent), vec![vec![0], vec![1], vec![2]]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn level_sets(parent: &[usize]) -> Vec<Vec<usize>> {
-    let n = parent.len();
-    let mut level = vec![0usize; n];
-    // Parents always have larger indices than their children, so one
-    // ascending pass sees every child before its parent.
-    for j in 0..n {
-        let p = parent[j];
-        if p != NO_PARENT {
-            level[p] = level[p].max(level[j] + 1);
-        }
-    }
-    let height = level.iter().max().map_or(0, |&h| h + 1);
-    let mut sets = vec![Vec::new(); height];
-    for (j, &l) in level.iter().enumerate() {
-        sets[l].push(j);
-    }
-    sets
-}
-
 /// A parallel factorization schedule over an elimination forest:
 /// independent subtree jobs plus a serial tail of top-of-tree columns.
 ///
@@ -248,9 +201,10 @@ impl EtreeSchedule {
     pub fn build(parent: &[usize], cost: &[u64], threads: usize) -> Self {
         let n = parent.len();
         assert_eq!(cost.len(), n, "cost model must cover every column");
-        // Forest height = number of level sets, computed with the same
-        // one-pass child-before-parent recurrence as [`level_sets`]
-        // without materializing the per-level column lists.
+        // Forest height: level 0 holds the leaves and every node sits one
+        // level above its deepest child. Parents always have larger
+        // indices than their children, so one ascending pass sees every
+        // child before its parent.
         let mut level = vec![0usize; n];
         for j in 0..n {
             let p = parent[j];
@@ -382,7 +336,8 @@ impl EtreeSchedule {
         &self.serial_tail
     }
 
-    /// Height of the elimination forest (number of [`level_sets`]).
+    /// Height of the elimination forest: the number of bottom-up levels
+    /// (leaves at level 0, every node one above its deepest child).
     pub fn num_levels(&self) -> usize {
         self.num_levels
     }
@@ -504,21 +459,6 @@ mod tests {
         let counts = column_counts(&a, &parent);
         // Tridiagonal L: bidiagonal, 2 per column except last.
         assert_eq!(counts.iter().sum::<usize>(), 2 * 8 - 1);
-    }
-
-    #[test]
-    fn level_sets_of_path_and_forest() {
-        // Tridiagonal etree is a path: one node per level.
-        let parent = elimination_tree(&tridiag(5).upper_triangle());
-        let levels = level_sets(&parent);
-        assert_eq!(levels, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
-        // Diagonal matrix: a forest of roots, all at level 0.
-        let parent = elimination_tree(&CscMatrix::identity(4).upper_triangle());
-        assert_eq!(level_sets(&parent), vec![vec![0, 1, 2, 3]]);
-        // Arrow: all leaves at level 0, the apex alone at level 1.
-        let parent = elimination_tree(&arrow(5).upper_triangle());
-        assert_eq!(level_sets(&parent), vec![vec![0, 1, 2, 3], vec![4]]);
-        assert!(level_sets(&[]).is_empty());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! This crate implements, from scratch, everything the trace-reduction
 //! sparsifier of Liu & Yu (DAC 2022) needs from a sparse direct solver:
 //!
-//! - triplet ([`CooMatrix`]), compressed-column ([`CscMatrix`]) and
-//!   compressed-row ([`CsrMatrix`]) storage with conversions;
+//! - triplet ([`CooMatrix`]) and compressed-column ([`CscMatrix`])
+//!   storage with conversions;
 //! - fill-reducing orderings (reverse Cuthill–McKee and minimum degree) in
 //!   [`order`];
 //! - an elimination-tree based symbolic analysis ([`etree`]) and an
 //!   up-looking numeric sparse Cholesky factorization ([`chol`]) in the
-//!   style of CSparse/CHOLMOD, with a level-set-scheduled parallel
+//!   style of CSparse/CHOLMOD, with a subtree-scheduled parallel
 //!   numeric path ([`CholeskyFactor::factorize_threads`]) that factors
 //!   independent elimination-tree subtrees concurrently and is
 //!   bit-identical to the serial kernel at every thread count;
@@ -57,7 +57,6 @@
 pub mod chol;
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod etree;
@@ -74,7 +73,6 @@ pub mod update;
 pub use chol::CholeskyFactor;
 pub use coo::CooMatrix;
 pub use csc::{par_axpy, par_dot, par_xpby, CscMatrix};
-pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use multivec::MultiVec;

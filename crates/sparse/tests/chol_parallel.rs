@@ -1,4 +1,4 @@
-//! Property tests for the parallel numeric Cholesky: the level-set
+//! Property tests for the parallel numeric Cholesky: the subtree
 //! schedule's structural invariants, and bit-identity of the parallel
 //! factorization with the serial up-looking kernel at every thread
 //! count, across random SPD grid/tridiagonal matrices, shifts, and
@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use tracered_sparse::chol::{etree_consistent_with_factor, SymbolicCholesky};
-use tracered_sparse::etree::{self, NO_PARENT};
+use tracered_sparse::etree::NO_PARENT;
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix};
 
@@ -97,38 +97,6 @@ proptest! {
             for threads in [1usize, 2, 4] {
                 let par = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
                 assert_csc_bit_identical(par.l(), serial.l(), &format!("{ord:?} t={threads}"));
-            }
-        }
-    }
-
-    /// The level sets partition the columns, and every node's parent is
-    /// in a strictly later level — the correctness frame of the
-    /// schedule.
-    #[test]
-    fn level_sets_cover_once_with_parents_strictly_later(a in arb_spd()) {
-        for ord in ORDERINGS {
-            let perm = ord.compute(&a).unwrap();
-            let c = a.symmetric_perm_upper(&perm).unwrap();
-            let parent = etree::elimination_tree(&c);
-            let levels = etree::level_sets(&parent);
-            let n = parent.len();
-            let mut level_of = vec![usize::MAX; n];
-            let mut covered = 0usize;
-            for (l, cols) in levels.iter().enumerate() {
-                for &j in cols {
-                    prop_assert_eq!(level_of[j], usize::MAX, "column covered twice");
-                    level_of[j] = l;
-                    covered += 1;
-                }
-            }
-            prop_assert_eq!(covered, n, "every column exactly once");
-            for j in 0..n {
-                if parent[j] != NO_PARENT {
-                    prop_assert!(
-                        level_of[parent[j]] > level_of[j],
-                        "parent of {} must sit strictly above it", j
-                    );
-                }
             }
         }
     }

@@ -1,4 +1,6 @@
-//! End-to-end tests for the beyond-the-paper extensions (DESIGN.md X1–X10).
+//! End-to-end tests for extensions beyond the paper: trapezoidal
+//! integration, sparsifier vs IC(0) iteration scaling, the JL method,
+//! k-way partitioning, the tracked trace bound and the stretch identity.
 
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{grid2d, tri_mesh, WeightProfile};
