@@ -367,10 +367,9 @@ fn main() {
         // ordering (what the sweep factors with): how much of the tree
         // the subtree jobs cover, and how the columns amalgamate into
         // dense panels. The permutation is computed once and reused for
-        // every timed cell: it is kernel-invariant, and on the largest
-        // grid greedy min-degree costs an order of magnitude more than
-        // the numeric factorization itself, so timing it inside the
-        // cells would drown the kernel comparison this sweep exists for.
+        // every timed cell: it is kernel-invariant, so timing it inside
+        // the cells would only add the same constant to every kernel
+        // this sweep compares.
         let t0 = Instant::now();
         let perm = Ordering::MinDegree.compute(&fl).expect("grid Laplacian is square");
         let ordering_s = t0.elapsed().as_secs_f64();

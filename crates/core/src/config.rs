@@ -455,7 +455,6 @@ impl SparsifyConfig {
         });
         mix(match self.ordering {
             Ordering::Natural => 0,
-            Ordering::Rcm => 1,
             Ordering::MinDegree => 2,
             Ordering::NestedDissection => 3,
         });
@@ -554,9 +553,7 @@ mod tests {
         for kind in [TreeKind::MaxEffectiveWeight, TreeKind::MaxWeight] {
             variants.push((format!("tree::{kind:?}"), base().tree_kind(kind).fingerprint()));
         }
-        for ordering in
-            [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree, Ordering::NestedDissection]
-        {
+        for ordering in [Ordering::Natural, Ordering::MinDegree, Ordering::NestedDissection] {
             variants.push((format!("ord::{ordering:?}"), base().ordering(ordering).fingerprint()));
         }
         for (name, shift) in [

@@ -37,9 +37,10 @@ pub struct DirectSolver {
 }
 
 impl DirectSolver {
-    /// Factorizes `a`, auto-selecting between the min-degree and
-    /// nested-dissection orderings by symbolic fill — the cheap analysis
-    /// CHOLMOD performs before committing to a factorization.
+    /// Factorizes `a`, keeping whichever of approximate minimum degree
+    /// and nested dissection gives the smaller symbolic fill, as CHOLMOD
+    /// does before committing to a factorization. AMD wins on power-grid
+    /// conductance matrices, nested dissection on 3-D meshes.
     ///
     /// # Errors
     ///
@@ -196,11 +197,9 @@ mod tests {
         let a = laplacian_with_shifts(&g, &vec![0.5; 49]);
         let b: Vec<f64> = (0..49).map(|i| (i as f64) * 0.01).collect();
         let x1 = DirectSolver::with_ordering(&a, Ordering::Natural).unwrap().solve(&b);
-        let x2 = DirectSolver::with_ordering(&a, Ordering::Rcm).unwrap().solve(&b);
-        let x3 = DirectSolver::with_ordering(&a, Ordering::MinDegree).unwrap().solve(&b);
+        let x2 = DirectSolver::with_ordering(&a, Ordering::MinDegree).unwrap().solve(&b);
         for i in 0..49 {
             assert!((x1[i] - x2[i]).abs() < 1e-9);
-            assert!((x1[i] - x3[i]).abs() < 1e-9);
         }
     }
 }

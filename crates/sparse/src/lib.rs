@@ -5,8 +5,8 @@
 //!
 //! - triplet ([`CooMatrix`]) and compressed-column ([`CscMatrix`])
 //!   storage with conversions;
-//! - fill-reducing orderings (reverse Cuthill–McKee and minimum degree) in
-//!   [`order`];
+//! - fill-reducing orderings (approximate minimum degree and nested
+//!   dissection) in [`order`];
 //! - an elimination-tree based symbolic analysis ([`etree`]) and an
 //!   up-looking numeric sparse Cholesky factorization ([`chol`]) in the
 //!   style of CSparse/CHOLMOD, with a subtree-scheduled parallel

@@ -2,16 +2,20 @@
 //!
 //! Two orderings are implemented from scratch:
 //!
-//! - **Reverse Cuthill–McKee** ([`rcm`]): a bandwidth-reducing BFS ordering,
-//!   good for mesh-like matrices;
-//! - **Minimum degree** ([`min_degree`]): a greedy fill-reducing ordering
-//!   (the classic algorithm without supernode/indistinguishable-node
-//!   refinements), standing in for CHOLMOD's AMD. On the ultra-sparse
-//!   tree-plus-a-few-edges systems this workspace factorizes, it produces
-//!   near-optimal fill.
+//! - **Approximate minimum degree** ([`Ordering::MinDegree`]): the
+//!   quotient-graph AMD of Amestoy, Davis & Duff after the `cs_amd` design,
+//!   the ordering CHOLMOD uses by default. Best fill on the sparsifier
+//!   Laplacians and power-grid conductance matrices this workspace
+//!   factorizes.
+//! - **Nested dissection** ([`nested_dissection`]): recursive level-set
+//!   bisection, ahead of AMD on 3-D meshes.
+//!
+//! Every ordering reads only the pattern of the upper triangle (diagonal
+//! included or not) and orders the symmetric pattern it mirrors, as
+//! [`CholeskyFactor::factorize`](crate::CholeskyFactor::factorize) reads
+//! only the upper triangle's values.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+mod amd;
 
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
@@ -22,24 +26,30 @@ use crate::perm::Permutation;
 /// Deliberately **not** `#[non_exhaustive]`: downstream config
 /// fingerprints match on this exhaustively so that adding an ordering is
 /// a compile error at every tag site instead of a silent cache collision.
+/// The discriminants are those fingerprint tags, and the `ordering`
+/// argument of the `chol.order` span. Tag 1 belonged to a deleted
+/// ordering and stays unused, so existing configs keep their
+/// fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Ordering {
     /// Keep the natural (input) order.
-    Natural,
-    /// Reverse Cuthill–McKee.
-    Rcm,
-    /// Greedy minimum-degree (default; best fill on sparsifier Laplacians).
+    Natural = 0,
+    /// Approximate minimum degree (default): quotient-graph AMD with
+    /// element and aggressive absorption, approximate external degrees,
+    /// mass elimination, indistinguishable-node merging and dense-row
+    /// deferral. Best fill on sparsifier Laplacians and power grids.
     #[default]
-    MinDegree,
+    MinDegree = 2,
     /// Level-set nested dissection — asymptotically optimal fill on 2-D/3-D
-    /// meshes, where greedy minimum degree falls behind (this is where the
-    /// "Direct" baselines of the paper's Tables 2–3 get their factor from).
-    NestedDissection,
+    /// meshes, where minimum degree can fall behind (3-D meshes such as the
+    /// paper's Table 3 matrix).
+    NestedDissection = 3,
 }
 
 impl Ordering {
-    /// Computes the permutation for a square symmetric matrix `a` (the full
-    /// matrix, not a triangle; only the pattern is used).
+    /// Computes the permutation for a square symmetric matrix `a`. Only
+    /// the pattern of the upper triangle is read, so `a` may be the full
+    /// matrix or its upper triangle with the same result.
     ///
     /// Every fill-reducing ordering is refined by
     /// [`etree_postorder_refine`] before being returned — the composition
@@ -53,10 +63,15 @@ impl Ordering {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
         }
+        let _span = tracered_obs::span!("chol.order", {
+            n: a.ncols(),
+            nnz: a.nnz(),
+            ordering: self as u8
+        });
         let base = match self {
             Ordering::Natural => return Ok(Permutation::identity(a.ncols())),
-            Ordering::Rcm => rcm(a),
-            Ordering::MinDegree => min_degree(a),
+            Ordering::MinDegree => Permutation::from_vec(amd::amd(&Adjacency::of_upper(a)).0)
+                .expect("AMD orders every vertex exactly once"),
             Ordering::NestedDissection => nested_dissection(a),
         };
         etree_postorder_refine(a, base)
@@ -73,8 +88,9 @@ impl Ordering {
 /// postorder, every single-child chain of the etree occupies consecutive
 /// column numbers. That contiguity is what the supernodal kernel's
 /// fundamental-supernode detection (`parent[j-1] == j` with nested
-/// patterns) keys on — without it a greedy min-degree order scatters chain
-/// columns and the partition degenerates to width-1 panels.
+/// patterns) keys on. Without it, chain columns can lie scattered (nested
+/// dissection sorts its leaves by degree, and AMD's assembly tree is not
+/// the elimination tree) and the partition degenerates to width-1 panels.
 ///
 /// Returns the input permutation unchanged when the etree is already in
 /// postorder (always the case for a second application, so the refinement
@@ -99,199 +115,53 @@ pub fn etree_postorder_refine(
     Ok(post_perm.compose(&perm))
 }
 
-/// Builds an off-diagonal adjacency list from the pattern of a symmetric
-/// CSC matrix.
-fn adjacency(a: &CscMatrix) -> Vec<Vec<usize>> {
-    let n = a.ncols();
-    let mut adj = vec![Vec::new(); n];
-    for c in 0..n {
-        let (rows, _) = a.col(c);
-        for &r in rows {
-            if r != c {
-                adj[c].push(r);
-            }
-        }
-    }
-    adj
+/// The off-diagonal pattern of `triu(A) + triu(A)ᵀ`, the symmetric
+/// pattern both fill-reducing orderings work on: the neighbours of `v` are
+/// `idx[ptr[v]..ptr[v + 1]]`, sorted ascending.
+struct Adjacency {
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
 }
 
-/// Finds a pseudo-peripheral vertex of the component containing `start`
-/// by repeated BFS to the farthest level.
-fn pseudo_peripheral(
-    adj: &[Vec<usize>],
-    start: usize,
-    scratch: &mut [usize],
-    round: usize,
-) -> usize {
-    let mut node = start;
-    let mut last_ecc = 0usize;
-    loop {
-        // BFS from `node`, tracking eccentricity and the last low-degree
-        // vertex in the final level.
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back((node, 0usize));
-        scratch[node] = round;
-        let mut far_node = node;
-        let mut far_dist = 0usize;
-        while let Some((v, d)) = queue.pop_front() {
-            if d > far_dist || (d == far_dist && adj[v].len() < adj[far_node].len()) {
-                far_dist = d;
-                far_node = v;
-            }
-            for &u in &adj[v] {
-                if scratch[u] != round {
-                    scratch[u] = round;
-                    queue.push_back((u, d + 1));
-                }
+impl Adjacency {
+    /// Mirrors the strict upper triangle of the square matrix `a`; its
+    /// lower triangle and diagonal are not read.
+    fn of_upper(a: &CscMatrix) -> Self {
+        let n = a.ncols();
+        let strict_upper = |c: usize| a.col(c).0.iter().copied().take_while(move |&r| r < c);
+        let mut ptr = vec![0usize; n + 1];
+        for c in 0..n {
+            for r in strict_upper(c) {
+                ptr[r + 1] += 1;
+                ptr[c + 1] += 1;
             }
         }
-        if far_dist <= last_ecc {
-            return node;
+        for v in 0..n {
+            ptr[v + 1] += ptr[v];
         }
-        last_ecc = far_dist;
-        node = far_node;
-        // Reset marks for the next sweep by bumping the round is handled by
-        // caller passing distinct rounds; here we reuse the same round, so
-        // clear the component marks.
-        // (Cheap: re-BFS the component.)
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(node);
-        let mut comp = vec![node];
-        // marks are all == round in this component; flip them back.
-        scratch[node] = round - 1;
-        while let Some(v) = queue.pop_front() {
-            for &u in &adj[v] {
-                if scratch[u] == round {
-                    scratch[u] = round - 1;
-                    queue.push_back(u);
-                    comp.push(u);
-                }
+        // Column c receives its rows r < c at step c and every larger
+        // neighbour at a later step, in increasing order: lists come out
+        // sorted.
+        let mut next = ptr[..n].to_vec();
+        let mut idx = vec![0usize; ptr[n]];
+        for c in 0..n {
+            for r in strict_upper(c) {
+                idx[next[c]] = r;
+                next[c] += 1;
+                idx[next[r]] = c;
+                next[r] += 1;
             }
         }
-        let _ = comp;
+        Adjacency { ptr, idx }
     }
-}
 
-/// Reverse Cuthill–McKee ordering.
-///
-/// Handles disconnected matrices by ordering each connected component from
-/// a pseudo-peripheral start vertex.
-pub fn rcm(a: &CscMatrix) -> Permutation {
-    let n = a.ncols();
-    let adj = adjacency(a);
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut scratch = vec![0usize; n];
-    let mut round = 2usize;
-    let mut neighbors = Vec::new();
-    for s in 0..n {
-        if visited[s] {
-            continue;
-        }
-        let start = pseudo_peripheral(&adj, s, &mut scratch, round);
-        round += 2;
-        // Cuthill–McKee BFS with neighbors sorted by degree.
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        visited[start] = true;
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            neighbors.clear();
-            neighbors.extend(adj[v].iter().copied().filter(|&u| !visited[u]));
-            neighbors.sort_unstable_by_key(|&u| adj[u].len());
-            for &u in &neighbors {
-                visited[u] = true;
-                queue.push_back(u);
-            }
-        }
+    fn len(&self) -> usize {
+        self.ptr.len() - 1
     }
-    order.reverse();
-    Permutation::from_vec(order).expect("RCM visits every vertex exactly once")
-}
 
-/// Greedy minimum-degree ordering.
-///
-/// Eliminates, at each step, a vertex of minimum degree in the current
-/// *elimination graph* (the graph updated with clique fill between the
-/// eliminated vertex's neighbours). Uses sorted adjacency vectors and a
-/// lazy-deletion binary heap.
-///
-/// Vertices whose elimination-graph degree exceeds an AMD-style *dense
-/// cutoff* are deferred and numbered last as a dense block: on 3-D meshes
-/// the late elimination graph develops huge cliques whose explicit merges
-/// would make the ordering itself quadratic.
-pub fn min_degree(a: &CscMatrix) -> Permutation {
-    let n = a.ncols();
-    let mut adj = adjacency(a);
-    for list in adj.iter_mut() {
-        list.sort_unstable();
-        list.dedup();
+    fn neighbors(&self, v: usize) -> &[usize] {
+        &self.idx[self.ptr[v]..self.ptr[v + 1]]
     }
-    // AMD-flavoured dense-row threshold: a multiple of the average degree
-    // with a sqrt(n) floor.
-    let avg_degree = if n == 0 { 0.0 } else { a.nnz() as f64 / n as f64 };
-    let dense_cutoff = ((16.0 * avg_degree).max(4.0 * (n as f64).sqrt()).max(16.0) as usize).min(n);
-    let mut eliminated = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(n * 2);
-    for (v, list) in adj.iter().enumerate() {
-        heap.push(Reverse((list.len(), v)));
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut deferred = Vec::new();
-    let mut scratch: Vec<usize> = Vec::new();
-    while let Some(Reverse((deg, v))) = heap.pop() {
-        if eliminated[v] || adj[v].len() != deg {
-            continue; // stale heap entry
-        }
-        eliminated[v] = true;
-        if deg > dense_cutoff {
-            // Dense row: exclude from further updates, number it last.
-            deferred.push(v);
-            adj[v] = Vec::new();
-            continue;
-        }
-        order.push(v);
-        // Active neighbours of v.
-        let nv: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-        // Form the clique on nv: for each u in nv, new adjacency is
-        // (adj[u] \ {v, eliminated}) ∪ (nv \ {u}).
-        for &u in &nv {
-            scratch.clear();
-            // Merge the two sorted lists, dropping v, u and eliminated nodes.
-            let (aa, bb) = (&adj[u], &nv);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < aa.len() || j < bb.len() {
-                let pick_a = if i >= aa.len() {
-                    false
-                } else if j >= bb.len() {
-                    true
-                } else {
-                    aa[i] <= bb[j]
-                };
-                let x = if pick_a {
-                    if j < bb.len() && aa[i] == bb[j] {
-                        j += 1;
-                    }
-                    let x = aa[i];
-                    i += 1;
-                    x
-                } else {
-                    let x = bb[j];
-                    j += 1;
-                    x
-                };
-                if x != u && x != v && !eliminated[x] {
-                    scratch.push(x);
-                }
-            }
-            scratch.dedup();
-            std::mem::swap(&mut adj[u], &mut scratch);
-            heap.push(Reverse((adj[u].len(), u)));
-        }
-        adj[v] = Vec::new(); // release memory of the eliminated vertex
-    }
-    order.extend(deferred);
-    Permutation::from_vec(order).expect("min-degree eliminates every vertex exactly once")
 }
 
 /// Picks the candidate ordering with the smallest *symbolic* factor fill
@@ -311,6 +181,8 @@ pub fn select_ordering(
     candidates: &[Ordering],
 ) -> Result<(Ordering, Permutation, usize), SparseError> {
     assert!(!candidates.is_empty(), "at least one candidate ordering is required");
+    let mut span =
+        tracered_obs::span!("chol.select", { n: a.ncols(), candidates: candidates.len() });
     let mut best: Option<(Ordering, Permutation, usize)> = None;
     for &ord in candidates {
         let perm = ord.compute(a)?;
@@ -321,19 +193,26 @@ pub fn select_ordering(
             best = Some((ord, perm, fill));
         }
     }
-    Ok(best.expect("candidates is non-empty"))
+    let best = best.expect("candidates is non-empty");
+    if let Some(s) = span.as_mut() {
+        s.arg("kept", best.0 as u8 as f64);
+        s.arg("fill", best.2 as f64);
+    }
+    Ok(best)
 }
 
 /// Level-set nested dissection.
 ///
 /// Recursively bisects each connected piece through a BFS level-set
-/// separator: run BFS from a pseudo-peripheral vertex, pick the level that
+/// separator: run BFS from the piece's first vertex, pick the level that
 /// splits the piece into halves, order both halves recursively and number
 /// the separator *last*. Leaves (≤ 48 vertices) are ordered by degree.
-/// `O(n log n)` time on bounded-degree graphs.
+/// `O(n log n)` time on bounded-degree graphs. Reads only the pattern of
+/// the upper triangle of the square matrix `a`.
 pub fn nested_dissection(a: &CscMatrix) -> Permutation {
     let n = a.ncols();
-    let adj = adjacency(a);
+    let adj = Adjacency::of_upper(a);
+    let degree = |v: usize| adj.neighbors(v).len();
     let mut order = Vec::with_capacity(n);
     let mut level = vec![usize::MAX; n];
     let mut stamp = vec![0u64; n];
@@ -358,7 +237,7 @@ pub fn nested_dissection(a: &CscMatrix) -> Permutation {
         }
         if nodes.len() <= 48 {
             let mut leaf = nodes;
-            leaf.sort_unstable_by_key(|&v| (adj[v].len(), v));
+            leaf.sort_unstable_by_key(|&v| (degree(v), v));
             order.extend(leaf);
             continue;
         }
@@ -377,7 +256,7 @@ pub fn nested_dissection(a: &CscMatrix) -> Permutation {
         // Mark visited by bumping stamp to round + <big offset>? Use a
         // second marker value: level != MAX within this round. Reset below.
         while let Some(v) = queue.pop_front() {
-            for &u in &adj[v] {
+            for &u in adj.neighbors(v) {
                 if stamp[u] == round && level[u] == usize::MAX {
                     level[u] = level[v] + 1;
                     max_level = max_level.max(level[u]);
@@ -395,7 +274,7 @@ pub fn nested_dissection(a: &CscMatrix) -> Permutation {
         if max_level < 2 {
             // Too shallow to split usefully; emit by degree.
             let mut leaf = component.clone();
-            leaf.sort_unstable_by_key(|&v| (adj[v].len(), v));
+            leaf.sort_unstable_by_key(|&v| (degree(v), v));
             order.extend(leaf);
             for v in component {
                 level[v] = usize::MAX;
@@ -434,7 +313,7 @@ pub fn nested_dissection(a: &CscMatrix) -> Permutation {
         }
         if left.is_empty() || right.is_empty() {
             let mut leaf = component;
-            leaf.sort_unstable_by_key(|&v| (adj[v].len(), v));
+            leaf.sort_unstable_by_key(|&v| (degree(v), v));
             order.extend(leaf);
             continue;
         }
@@ -464,10 +343,9 @@ mod tests {
 
     fn star(n: usize) -> CscMatrix {
         let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 4.0).unwrap();
-        }
+        coo.push(0, 0, n as f64).unwrap();
         for i in 1..n {
+            coo.push(i, i, 4.0).unwrap();
             coo.push_symmetric(0, i, -1.0).unwrap();
         }
         coo.to_csc()
@@ -491,16 +369,71 @@ mod tests {
         coo.to_csc()
     }
 
+    /// The shifted Laplacian of a `k³` grid: 7-point stencil.
+    fn grid3d(k: usize) -> CscMatrix {
+        let n = k * k * k;
+        let mut coo = CooMatrix::new(n, n);
+        let id = |x: usize, y: usize, z: usize| (x * k + y) * k + z;
+        for x in 0..k {
+            for y in 0..k {
+                for z in 0..k {
+                    let v = id(x, y, z);
+                    coo.push(v, v, 6.5).unwrap();
+                    for (dx, dy, dz) in [(1, 0, 0), (0, 1, 0), (0, 0, 1)] {
+                        let (x2, y2, z2) = (x + dx, y + dy, z + dz);
+                        if x2 < k && y2 < k && z2 < k {
+                            coo.push_symmetric(v, id(x2, y2, z2), -1.0).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        coo.to_csc()
+    }
+
+    /// Deterministic xorshift stream for the random-tree tests.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random recursive tree on `n` nodes with shuffled labels, as a
+    /// shifted Laplacian.
+    fn random_tree(n: usize, seed: u64) -> CscMatrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, xorshift(&mut state) as usize % (i + 1));
+        }
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 0.1).unwrap();
+        }
+        for i in 1..n {
+            let (u, v) = (label[i], label[xorshift(&mut state) as usize % i]);
+            coo.push_symmetric(u, v, -0.5).unwrap();
+            coo.push(u, u, 0.5).unwrap();
+            coo.push(v, v, 0.5).unwrap();
+        }
+        coo.to_csc()
+    }
+
     fn fill_of(a: &CscMatrix, perm: &Permutation) -> usize {
         let upper = a.symmetric_perm_upper(perm).unwrap();
         let parent = crate::etree::elimination_tree(&upper);
         crate::etree::column_counts(&upper, &parent).iter().sum()
     }
 
+    fn amd_order(a: &CscMatrix) -> Permutation {
+        Permutation::from_vec(amd::amd(&Adjacency::of_upper(a)).0).unwrap()
+    }
+
     #[test]
     fn orderings_are_permutations() {
         for a in [path_laplacian(10), star(10), grid2d(5)] {
-            for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
+            for ord in [Ordering::Natural, Ordering::MinDegree, Ordering::NestedDissection] {
                 let p = ord.compute(&a).unwrap();
                 assert_eq!(p.len(), a.ncols());
             }
@@ -508,35 +441,109 @@ mod tests {
     }
 
     #[test]
-    fn min_degree_star_eliminates_hub_last() {
-        // Natural order on a star with the hub first gives dense fill;
-        // min-degree must eliminate leaves first (zero fill).
-        let a = star(20);
-        let p = min_degree(&a);
-        // The hub must survive until its degree drops to that of a leaf,
-        // i.e. be one of the last two vertices eliminated.
-        assert!(
-            p.new_to_old(19) == 0 || p.new_to_old(18) == 0,
-            "hub must be eliminated among the last two"
-        );
-        assert_eq!(fill_of(&a, &p), 2 * 20 - 1, "star under min-degree has zero fill-in");
+    fn adjacency_mirrors_the_strict_upper_triangle_sorted() {
+        let a = grid2d(4);
+        for src in [a.clone(), a.upper_triangle()] {
+            let adj = Adjacency::of_upper(&src);
+            for v in 0..a.ncols() {
+                let expected: Vec<usize> = a.col(v).0.iter().copied().filter(|&r| r != v).collect();
+                assert_eq!(adj.neighbors(v), &expected[..], "neighbours of {v}");
+            }
+        }
     }
 
     #[test]
-    fn min_degree_beats_natural_on_grid() {
-        let a = grid2d(8);
-        let natural = fill_of(&a, &Permutation::identity(64));
-        let md = fill_of(&a, &min_degree(&a));
-        assert!(md <= natural, "min-degree fill {md} must not exceed natural {natural}");
+    fn orderings_read_only_the_upper_triangle() {
+        for a in [grid2d(9), star(30), random_tree(200, 7)] {
+            let upper = a.upper_triangle();
+            for ord in [Ordering::Natural, Ordering::MinDegree, Ordering::NestedDissection] {
+                assert_eq!(ord.compute(&a).unwrap(), ord.compute(&upper).unwrap(), "{ord:?}");
+            }
+            let full = crate::CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
+            let half = crate::CholeskyFactor::factorize(&upper, Ordering::MinDegree).unwrap();
+            assert_eq!(full.l().colptr(), half.l().colptr());
+            assert_eq!(full.l().rowidx(), half.l().rowidx());
+            assert!(full.l().values().iter().zip(half.l().values()).all(|(x, y)| x == y));
+        }
     }
 
     #[test]
-    fn rcm_reduces_bandwidth_fill_on_grid() {
+    fn amd_orders_star_hubs_last() {
+        // Natural order on a star with the hub first gives dense fill; AMD
+        // must eliminate the leaves first, for zero fill.
+        for n in [20, 400] {
+            let a = star(n);
+            let p = Ordering::MinDegree.compute(&a).unwrap();
+            assert_eq!(fill_of(&a, &p), 2 * n - 1, "star of {n} has zero fill-in under AMD");
+            if n == 20 {
+                // Degree 19 is below the dense threshold: the hub is mass
+                // eliminated with the last leaf.
+                assert!(p.new_to_old(n - 1) == 0 || p.new_to_old(n - 2) == 0);
+            } else {
+                // Degree 399 is above max(16, 10√400): a dense row, last.
+                assert_eq!(p.new_to_old(n - 1), 0, "dense hub must be ordered last");
+            }
+        }
+    }
+
+    #[test]
+    fn amd_path_zero_fill() {
+        let a = path_laplacian(16);
+        let p = Ordering::MinDegree.compute(&a).unwrap();
+        assert_eq!(fill_of(&a, &p), 2 * 16 - 1, "paths factor with zero fill under AMD");
+    }
+
+    #[test]
+    fn amd_random_trees_zero_fill() {
+        for seed in 0..60u64 {
+            let n = 2 + (seed as usize * 37) % 1500;
+            let a = random_tree(n, seed);
+            let p = Ordering::MinDegree.compute(&a).unwrap();
+            assert_eq!(fill_of(&a, &p), 2 * n - 1, "tree {seed} on {n} nodes filled in");
+        }
+    }
+
+    #[test]
+    fn amd_is_a_permutation_on_degenerate_inputs() {
+        let diagonal = |n: usize| CscMatrix::identity(n);
+        // Two paths, a triangle and two isolated nodes.
+        let mut coo = CooMatrix::new(12, 12);
+        for i in 0..12 {
+            coo.push(i, i, 3.0).unwrap();
+        }
+        for (u, v) in [(0, 1), (1, 2), (4, 5), (5, 6), (6, 7), (8, 9), (9, 10), (8, 10)] {
+            coo.push_symmetric(u, v, -1.0).unwrap();
+        }
+        let pieces = coo.to_csc();
+        let mut cases = vec![CscMatrix::zeros(0, 0), diagonal(1), diagonal(7), pieces];
+        cases.extend((2..=3).map(path_laplacian));
+        for a in cases {
+            let n = a.ncols();
+            let p = Ordering::MinDegree.compute(&a).unwrap();
+            let mut seen: Vec<usize> = (0..n).map(|k| p.new_to_old(k)).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "n = {n}");
+            assert_eq!(fill_of(&a, &p), a.upper_triangle().nnz(), "no fill on forests");
+        }
+    }
+
+    #[test]
+    fn amd_compacts_its_workspace_on_a_3d_grid() {
+        let a = grid3d(6);
+        let (order, compactions) = amd::amd(&Adjacency::of_upper(&a));
+        assert!(compactions >= 1, "a 6³ grid must exhaust the elbow room");
+        let p = Permutation::from_vec(order).unwrap();
+        let natural = fill_of(&a, &Permutation::identity(a.ncols()));
+        let amd = fill_of(&a, &p);
+        assert!(amd < natural, "AMD fill {amd} must beat natural {natural}");
+    }
+
+    #[test]
+    fn amd_beats_natural_on_grid() {
         let a = grid2d(8);
         let natural = fill_of(&a, &Permutation::identity(64));
-        let r = fill_of(&a, &rcm(&a));
-        // RCM should not be catastrophically worse than natural on a grid.
-        assert!(r <= natural * 2);
+        let md = fill_of(&a, &Ordering::MinDegree.compute(&a).unwrap());
+        assert!(md <= natural, "AMD fill {md} must not exceed natural {natural}");
     }
 
     #[test]
@@ -558,10 +565,10 @@ mod tests {
     #[test]
     fn nested_dissection_competitive_with_min_degree_on_grids() {
         let a = grid2d(24);
-        let md = fill_of(&a, &min_degree(&a));
+        let md = fill_of(&a, &amd_order(&a));
         let nd = fill_of(&a, &nested_dissection(&a));
         // On regular 2-D grids the two should be within a small factor.
-        assert!(nd <= 2 * md, "ND fill {nd} vs min-degree {md}");
+        assert!(nd <= 2 * md, "ND fill {nd} vs AMD {md}");
     }
 
     #[test]
@@ -593,7 +600,7 @@ mod tests {
         coo.push_symmetric(3, 4, -1.0).unwrap();
         coo.push_symmetric(4, 5, -1.0).unwrap();
         let a = coo.to_csc();
-        for ord in [Ordering::Rcm, Ordering::MinDegree] {
+        for ord in [Ordering::MinDegree, Ordering::NestedDissection] {
             let p = ord.compute(&a).unwrap();
             assert_eq!(p.len(), 6);
         }
@@ -608,33 +615,27 @@ mod tests {
     #[test]
     fn compute_postorders_the_elimination_tree() {
         use crate::etree;
-        let a = grid2d(12);
-        for ord in [Ordering::Rcm, Ordering::MinDegree, Ordering::NestedDissection] {
-            let p = ord.compute(&a).unwrap();
-            let upper = a.symmetric_perm_upper(&p).unwrap();
-            let parent = etree::elimination_tree(&upper);
-            let post = etree::postorder(&parent);
-            assert!(
-                post.iter().enumerate().all(|(k, &v)| k == v),
-                "{ord:?}: etree of the computed ordering must already be postordered"
-            );
+        for a in [grid2d(12), grid3d(6)] {
+            for ord in [Ordering::MinDegree, Ordering::NestedDissection] {
+                let p = ord.compute(&a).unwrap();
+                let upper = a.symmetric_perm_upper(&p).unwrap();
+                let parent = etree::elimination_tree(&upper);
+                let post = etree::postorder(&parent);
+                assert!(
+                    post.iter().enumerate().all(|(k, &v)| k == v),
+                    "{ord:?}: etree of the computed ordering must already be postordered"
+                );
+            }
         }
     }
 
     #[test]
     fn postorder_refinement_is_fill_neutral_and_idempotent() {
         let a = grid2d(12);
-        let raw = min_degree(&a);
+        let raw = amd_order(&a);
         let refined = etree_postorder_refine(&a, raw.clone()).unwrap();
         assert_eq!(fill_of(&a, &raw), fill_of(&a, &refined), "relabeling must not change fill");
         let twice = etree_postorder_refine(&a, refined.clone()).unwrap();
         assert_eq!(twice, refined, "second application must be the identity");
-    }
-
-    #[test]
-    fn path_min_degree_zero_fill() {
-        let a = path_laplacian(16);
-        let p = min_degree(&a);
-        assert_eq!(fill_of(&a, &p), 2 * 16 - 1, "paths factor with zero fill under min-degree");
     }
 }

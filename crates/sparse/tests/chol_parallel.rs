@@ -2,8 +2,7 @@
 //! schedule's structural invariants, and bit-identity of the parallel
 //! factorization with the serial up-looking kernel at every thread
 //! count, across random SPD grid/tridiagonal matrices, shifts, and
-//! fill-reducing orderings (natural and minimum-degree — the AMD
-//! stand-in — plus RCM).
+//! orderings (natural and approximate minimum degree).
 
 use proptest::prelude::*;
 use tracered_sparse::chol::{etree_consistent_with_factor, SymbolicCholesky};
@@ -85,7 +84,7 @@ fn assert_csc_bit_identical(a: &CscMatrix, b: &CscMatrix, what: &str) {
     }
 }
 
-const ORDERINGS: [Ordering; 3] = [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree];
+const ORDERINGS: [Ordering; 2] = [Ordering::Natural, Ordering::MinDegree];
 
 proptest! {
     /// The headline contract: the parallel factor equals the serial one
@@ -142,8 +141,8 @@ proptest! {
 
     /// Promoted from the single-size unit test in `chol.rs`: the factor's
     /// structure is consistent with the elimination tree **after** the
-    /// fill-reducing permutation, for the natural and min-degree (AMD
-    /// analog) orderings, on serial and parallel factors alike.
+    /// fill-reducing permutation, for the natural and approximate
+    /// minimum degree orderings, on serial and parallel factors alike.
     #[test]
     fn etree_consistent_with_factor_post_permutation(a in arb_spd()) {
         for ord in [Ordering::Natural, Ordering::MinDegree] {

@@ -100,6 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sparsify",
         "sparsify.tree",
         "sparsify.iter",
+        "chol.order",
         "chol.factorize",
         "chol.numeric",
         "service.linger",

@@ -21,6 +21,7 @@ use tracered_powergrid::transient::{
 use tracered_service::{ContextSpec, ServiceConfig, ServiceRequest, SolverService};
 use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
+use tracered_solver::DirectSolver;
 use tracered_sparse::order::Ordering;
 use tracered_sparse::CholeskyFactor;
 
@@ -82,6 +83,20 @@ fn parallel_factorization_is_bit_identical_under_tracing() {
     });
     assert_eq!(plain.l().colptr(), traced.l().colptr(), "factor pattern changed under tracing");
     assert_bits_eq(plain.l().values(), traced.l().values(), "Cholesky factor");
+}
+
+#[test]
+fn direct_solver_is_bit_identical_under_tracing() {
+    let g = grid2d(30, 30, WeightProfile::LogUniform { lo: 0.2, hi: 5.0 }, 13);
+    let n = g.num_nodes();
+    let l = laplacian_with_shifts(&g, &vec![1e-3; n]);
+    let b: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) - 6.0).collect();
+    let (plain, traced) = plain_and_traced(|| {
+        let x = DirectSolver::new(&l).expect("SPD").solve(&b);
+        (x, tracered_obs::recorder().trace().has_span("chol.select"))
+    });
+    assert_bits_eq(&plain.0, &traced.0, "direct solution");
+    assert!(traced.1, "the traced run must record the ordering choice");
 }
 
 #[test]
