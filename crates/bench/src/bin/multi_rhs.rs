@@ -141,7 +141,7 @@ fn main() {
 
     // Factor of the fixed-step system for the kernel-level rows.
     let h = 1e-11;
-    let factor = tracered_solver::DirectSolver::new(&pg.transient_matrix(h))
+    let factor = tracered_solver::DirectSolver::new_threads(&pg.transient_matrix(h), 1)
         .expect("transient matrix is SPD");
     let g = pg.conductance_matrix();
 

@@ -20,7 +20,7 @@
 //!
 //! - `factor_scaling` — the numeric Cholesky sweep: an n × threads ×
 //!   kernel grid of serial-vs-parallel factorization times
-//!   (`CholeskyFactor::factorize_kernel` with the scalar up-looking and
+//!   (`CholeskyFactor::factorize_with_perm_kernel` with the scalar up-looking and
 //!   the supernodal blocked kernels), with the elimination-tree
 //!   schedule's shape (jobs, parallel-column fraction, tree height) and
 //!   the supernode partition's shape (count, mean/max panel width,
@@ -67,7 +67,7 @@ use tracered_solver::precond::CholPreconditioner;
 use tracered_sparse::chol::SymbolicCholesky;
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{
-    ApproxInverse, CholeskyFactor, KernelVariant, SpaiOptions, SupernodePartition,
+    ApproxInverse, CholeskyFactor, FactorOptions, KernelVariant, SpaiOptions, SupernodePartition,
 };
 
 const BETA: usize = 5;
@@ -563,14 +563,13 @@ fn main() {
     // the factor_scaling speedups run into.
     if let Some(obs_path) = &args.obs_out {
         let tmax = *args.threads.iter().max().expect("threads are non-empty");
-        let baseline =
-            CholeskyFactor::factorize_threads(&lg, Ordering::MinDegree, tmax).expect("SPD");
+        let opts = FactorOptions { threads: tmax, ..Ordering::MinDegree.into() };
+        let baseline = CholeskyFactor::factorize(&lg, opts).expect("SPD");
 
         let recorder = tracered_obs::recorder();
         recorder.reset();
         tracered_obs::set_enabled(true);
-        let traced =
-            CholeskyFactor::factorize_threads(&lg, Ordering::MinDegree, tmax).expect("SPD");
+        let traced = CholeskyFactor::factorize(&lg, opts).expect("SPD");
         let sol = pcg(&lg, &b, &pre, &PcgOptions::with_tolerance(1e-3).threads(tmax));
         tracered_obs::set_enabled(false);
         assert!(sol.converged, "traced PCG must converge");

@@ -68,7 +68,7 @@ fn main() {
         let direct_mem = {
             let s = partition_shift(&g);
             let l = tracered_graph::laplacian::laplacian_with_shifts(&g, &vec![s; g.num_nodes()]);
-            tracered_solver::DirectSolver::new(&l).expect("SPD").memory_bytes()
+            tracered_solver::DirectSolver::new_threads(&l, 1).expect("SPD").memory_bytes()
         };
         let t0 = Instant::now();
         let direct_bis = bisect_direct(&g, STEPS, SEED).expect("bisection");

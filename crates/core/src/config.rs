@@ -65,7 +65,6 @@ pub struct SparsifyConfig {
     track_trace: bool,
     threads: Option<usize>,
     factor_threads: Option<usize>,
-    kernel: KernelVariant,
     pivot_boost: Option<BoostSchedule>,
 }
 
@@ -115,9 +114,6 @@ impl SparsifyConfig {
             // partitions with `threads` while each partition can still
             // factor in parallel *inside* its job with this knob.
             factor_threads: Some(1),
-            // The scalar up-looking kernel is the historical default;
-            // `KernelVariant::Supernodal` opts into blocked panels.
-            kernel: KernelVariant::Scalar,
             // No boosted refactorization by default: a failing pivot
             // surfaces as a typed error unless the caller opts into the
             // resilience ladder.
@@ -147,7 +143,7 @@ impl SparsifyConfig {
     /// on `t` workers, `None` uses the hardware's available parallelism.
     ///
     /// The parallel factorization is **bit-identical** to the serial one
-    /// (see [`tracered_sparse::CholeskyFactor::factorize_threads`]), so
+    /// (see [`tracered_sparse::CholeskyFactor::factorize`]), so
     /// this knob changes `factor_time` only — sparsifier edge sets,
     /// scores, and solve results are unchanged at every setting.
     pub fn factor_threads(mut self, threads: Option<usize>) -> Self {
@@ -160,30 +156,20 @@ impl SparsifyConfig {
         self.factor_threads
     }
 
-    /// Numeric Cholesky kernel for the per-iteration factorizations:
-    /// [`KernelVariant::Scalar`] (the default up-looking row kernel) or
-    /// [`KernelVariant::Supernodal`] (blocked panels with tiled rank-k
-    /// updates — see [`tracered_sparse::supernode`]).
-    ///
-    /// Unlike the thread knobs, the kernel changes floating-point
-    /// summation order, so it **is** part of the config fingerprint: the
-    /// two variants agree only up to rounding and must not share a
-    /// cached factor.
-    pub fn kernel(mut self, kernel: KernelVariant) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The configured numeric kernel variant.
+    /// The numeric Cholesky kernel of the per-iteration factorizations:
+    /// always [`KernelVariant::Scalar`], since the kernel is not a config
+    /// knob. Kept only because the `perfbench` replay
+    /// (`perfbench/src/replay.rs`) calls it; delete it once that moves.
     pub fn kernel_value(&self) -> KernelVariant {
-        self.kernel
+        KernelVariant::Scalar
     }
 
     /// Diagonal-boost retry ladder for the per-iteration subgraph
     /// factorizations: `None` (the default) surfaces a non-positive
     /// pivot as [`crate::CoreError::Sparse`]; `Some(schedule)` retries
-    /// through [`tracered_sparse::factorize_regularized_threads`] and
-    /// records the applied shift in
+    /// through the boost ladder of
+    /// [`tracered_sparse::CholeskyFactor::factorize`] and records the
+    /// applied shift in
     /// [`crate::IterationStats::applied_shift`]. The boost is applied to
     /// the factorization *input*, so factor bit-identity across thread
     /// counts is preserved.
@@ -476,10 +462,6 @@ impl SparsifyConfig {
                 }
             }
         }
-        mix(match self.kernel {
-            KernelVariant::Scalar => 0,
-            KernelVariant::Supernodal => 1,
-        });
         mix(self.grass_power_steps as u64);
         mix(self.grass_num_vectors as u64);
         mix(self.jl_probes as u64);
@@ -564,9 +546,6 @@ mod tests {
         ] {
             variants.push((format!("shift::{name}"), base().shift(shift).fingerprint()));
         }
-        for kernel in [KernelVariant::Scalar, KernelVariant::Supernodal] {
-            variants.push((format!("kernel::{kernel:?}"), base().kernel(kernel).fingerprint()));
-        }
         for boost in [None, Some(BoostSchedule::default())] {
             variants.push((
                 format!("boost::{}", boost.is_some()),
@@ -580,7 +559,6 @@ mod tests {
             "tree::MaxEffectiveWeight",
             "ord::MinDegree",
             "shift::relmean",
-            "kernel::Scalar",
             "boost::false",
         ];
         for i in 0..variants.len() {
@@ -596,18 +574,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn kernel_knob_defaults_scalar_and_fingerprints() {
-        let base = SparsifyConfig::default();
-        assert_eq!(base.kernel_value(), KernelVariant::Scalar);
-        let sup = base.clone().kernel(KernelVariant::Supernodal);
-        assert_eq!(sup.kernel_value(), KernelVariant::Supernodal);
-        // The kernel changes summation order, so it must move the
-        // fingerprint (unlike the thread knobs).
-        assert_ne!(base.fingerprint(), sup.fingerprint());
-        assert!(sup.validate().is_ok());
     }
 
     #[test]

@@ -21,8 +21,7 @@ use tracered_graph::mst::spanning_tree;
 use tracered_graph::{Graph, GraphError, RootedTree};
 use tracered_obs::Timer;
 use tracered_sparse::{
-    factorize_regularized_kernel, ApproxInverse, CholeskyFactor, CscMatrix, SpaiOptions,
-    SparseError,
+    ApproxInverse, CholeskyFactor, CscMatrix, FactorOptions, SpaiOptions, SparseError,
 };
 
 use crate::config::{Method, SparsifyConfig};
@@ -217,37 +216,18 @@ pub(crate) fn heaviest_node(g: &Graph) -> usize {
         .unwrap_or(0)
 }
 
-/// Factorizes a (subgraph) Laplacian through the configured resilience
-/// path: fail-fast without a [`SparsifyConfig::pivot_boost`] ladder,
-/// boosted retries with one. A boost that fires records its shift in
-/// `stats.applied_shift` (the max over the iteration's factorizations).
+/// Factorizes a (subgraph) Laplacian with the run's options: fail-fast
+/// without a [`SparsifyConfig::pivot_boost`] ladder, boosted retries with
+/// one. A boost that fires records its shift in `stats.applied_shift`
+/// (the max over the iteration's factorizations).
 fn factorize_resilient(
     m: &CscMatrix,
-    cfg: &SparsifyConfig,
-    factor_threads: usize,
+    opts: FactorOptions,
     stats: &mut IterationStats,
 ) -> Result<CholeskyFactor, SparseError> {
-    match cfg.pivot_boost_value() {
-        None => CholeskyFactor::factorize_kernel(
-            m,
-            cfg.ordering_value(),
-            cfg.kernel_value(),
-            factor_threads,
-        ),
-        Some(schedule) => {
-            let rf = factorize_regularized_kernel(
-                m,
-                cfg.ordering_value(),
-                cfg.kernel_value(),
-                factor_threads,
-                &schedule,
-            )?;
-            if rf.applied_shift > stats.applied_shift {
-                stats.applied_shift = rf.applied_shift;
-            }
-            Ok(rf.factor)
-        }
-    }
+    let factor = CholeskyFactor::factorize(m, opts)?;
+    stats.applied_shift = stats.applied_shift.max(factor.applied_shift());
+    Ok(factor)
 }
 
 /// Runs graph spectral sparsification (paper Algorithm 2, or one of the
@@ -303,7 +283,11 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
     let nr = cfg.num_iterations();
     let lg = laplacian_with_shifts(g, &shifts);
     let threads = tracered_par::effective_threads(cfg.threads_value());
-    let factor_threads = tracered_par::effective_threads(cfg.factor_threads_value());
+    let factor_opts = FactorOptions {
+        ordering: cfg.ordering_value(),
+        threads: tracered_par::effective_threads(cfg.factor_threads_value()),
+        boost: cfg.pivot_boost_value(),
+    };
     let mut rng = probe_rng(cfg.seed_value());
 
     let mut selected = st.tree_edges.clone();
@@ -332,13 +316,13 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             spai_nnz: 0,
             trace_estimate: None,
             threads,
-            factor_threads,
+            factor_threads: factor_opts.threads,
             pool_size: tracered_par::global_pool_size(),
             applied_shift: 0.0,
         };
         if cfg.track_trace_enabled() {
             let ls = subgraph_laplacian(g, &selected, &shifts);
-            if let Ok(factor) = factorize_resilient(&ls, cfg, factor_threads, &mut stats) {
+            if let Ok(factor) = factorize_resilient(&ls, factor_opts, &mut stats) {
                 stats.trace_estimate = Some(crate::metrics::trace_proxy_hutchinson_threads(
                     &lg,
                     &factor,
@@ -372,7 +356,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 Method::Grass => {
                     let t_factor = Timer::start("sparsify.factor");
                     let ls = subgraph_laplacian(g, &selected, &shifts);
-                    let factor = factorize_resilient(&ls, cfg, factor_threads, &mut stats)?;
+                    let factor = factorize_resilient(&ls, factor_opts, &mut stats)?;
                     stats.factor_time = t_factor.stop();
                     grass_scores_threads(
                         g,
@@ -390,7 +374,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                     // which costs a full-graph factorization — exactly the
                     // expense the paper's introduction calls out.
                     let t_factor = Timer::start("sparsify.factor");
-                    let full_factor = factorize_resilient(&lg, cfg, factor_threads, &mut stats)?;
+                    let full_factor = factorize_resilient(&lg, factor_opts, &mut stats)?;
                     stats.factor_time = t_factor.stop();
                     crate::jl::jl_scores(
                         g,
@@ -408,7 +392,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             let subgraph_factor = |stats: &mut IterationStats| {
                 let t_factor = Timer::start("sparsify.factor");
                 let ls = subgraph_laplacian(g, &selected, &shifts);
-                let factor = factorize_resilient(&ls, cfg, factor_threads, stats);
+                let factor = factorize_resilient(&ls, factor_opts, stats);
                 stats.factor_time = t_factor.stop();
                 factor
             };
@@ -459,7 +443,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 Method::JlResistance => {
                     // Single-pass method: keep the full-graph ranking.
                     let t_factor = Timer::start("sparsify.factor");
-                    let full_factor = factorize_resilient(&lg, cfg, factor_threads, &mut stats)?;
+                    let full_factor = factorize_resilient(&lg, factor_opts, &mut stats)?;
                     stats.factor_time = t_factor.stop();
                     crate::jl::jl_scores(
                         g,

@@ -7,8 +7,8 @@
 //! - non-finite matrix entries (NaN / ±Inf), caught by
 //!   [`tracered_sparse::scan_non_finite`];
 //! - poisoned pivots (a strongly negative diagonal entry), which force
-//!   `NotPositiveDefinite` breakdowns and exercise the
-//!   [`tracered_sparse::factorize_regularized`] boost ladder;
+//!   `NotPositiveDefinite` breakdowns and exercise the boost ladder of
+//!   [`tracered_sparse::CholeskyFactor::factorize`];
 //! - non-finite right-hand-side and source-scale entries, which must
 //!   surface as classified terminations, never as garbage answers;
 //! - panicking pool jobs, which the `tracered_par` work-stealing pool

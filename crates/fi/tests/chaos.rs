@@ -24,8 +24,16 @@ use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::{robust_solve, RobustSolveConfig, TerminationReason};
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{
-    factorize_regularized, scan_non_finite, BoostSchedule, CholeskyFactor, CscMatrix, SparseError,
+    scan_non_finite, BoostSchedule, CholeskyFactor, CscMatrix, FactorOptions, SparseError,
 };
+
+/// Minimum-degree factorization through the default boost ladder.
+fn boosted(a: &CscMatrix) -> Result<CholeskyFactor, SparseError> {
+    CholeskyFactor::factorize(
+        a,
+        FactorOptions { boost: Some(BoostSchedule::default()), ..Ordering::MinDegree.into() },
+    )
+}
 
 /// A well-conditioned SPD test matrix: shifted 2-D grid Laplacian.
 fn healthy_matrix(side: usize) -> CscMatrix {
@@ -48,10 +56,7 @@ fn non_finite_matrix_yields_typed_error_not_panic() {
         other => panic!("expected NonFiniteValue, got {other:?}"),
     }
     // ...and every resilient entry point refuses the matrix up front.
-    assert!(matches!(
-        factorize_regularized(&bad, Ordering::MinDegree, &BoostSchedule::default()),
-        Err(SparseError::NonFiniteValue { .. })
-    ));
+    assert!(matches!(boosted(&bad), Err(SparseError::NonFiniteValue { .. })));
     let b = vec![1.0; bad.ncols()];
     assert!(matches!(
         robust_solve(&bad, &b, &a, &RobustSolveConfig::default()),
@@ -69,15 +74,13 @@ fn poisoned_pivot_recovers_through_the_boost_ladder() {
         Err(SparseError::NotPositiveDefinite { .. })
     ));
     // ...the regularized one recovers and reports the shift it needed.
-    let rf = factorize_regularized(&bad, Ordering::MinDegree, &BoostSchedule::default())
-        .expect("ladder must rescue a finite indefinite matrix");
-    assert!(rf.applied_shift > 0.0, "recovery must report its shift");
-    assert!(rf.attempts > 1);
+    let f = boosted(&bad).expect("ladder must rescue a finite indefinite matrix");
+    assert!(f.applied_shift() > 0.0, "recovery must report its shift");
     // The factor solves the boosted system accurately.
-    let boosted = bad.add_diagonal(&vec![rf.applied_shift; bad.ncols()]).expect("square matrix");
+    let shifted = bad.add_diagonal(&vec![f.applied_shift(); bad.ncols()]).expect("square matrix");
     let b = vec![1.0; bad.ncols()];
-    let x = rf.factor.solve(&b);
-    assert!(boosted.residual_inf_norm(&x, &b) < 1e-8, "poisoned column {col}");
+    let x = f.solve(&b);
+    assert!(shifted.residual_inf_norm(&x, &b) < 1e-8, "poisoned column {col}");
 }
 
 #[test]

@@ -35,8 +35,7 @@ use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::{block_pcg, PcgOptions, TerminationReason};
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{
-    factorize_regularized_kernel, BoostSchedule, CholeskyFactor, CscMatrix, KernelVariant,
-    MultiVec, SparseError,
+    BoostSchedule, CholeskyFactor, CscMatrix, FactorOptions, MultiVec, SparseError,
 };
 
 use crate::netlist::PowerGrid;
@@ -257,9 +256,6 @@ pub struct ContingencyConfig {
     pub residual_tol: f64,
     /// Starting epoch reported through the [`EpochHook`].
     pub epoch_base: u64,
-    /// Numeric Cholesky kernel for every factorization in the sweep
-    /// (base factor, fallbacks, and the refactor reference).
-    pub kernel: KernelVariant,
 }
 
 impl Default for ContingencyConfig {
@@ -271,8 +267,29 @@ impl Default for ContingencyConfig {
             boost: BoostSchedule::default(),
             residual_tol: 1e-8,
             epoch_base: 0,
-            kernel: KernelVariant::Scalar,
         }
+    }
+}
+
+impl ContingencyConfig {
+    /// Checks the knobs a sweep cannot run without — the boost ladder
+    /// and the residual gate — and returns the options of the base
+    /// factorization and of the boosted refactorization fallback. Both
+    /// sweeps call this before any work, so a bad config is an error
+    /// even when no outage would reach the fallback.
+    fn checked_factor_options(&self) -> Result<(FactorOptions, FactorOptions), SparseError> {
+        self.boost.validate()?;
+        if !self.residual_tol.is_finite() || self.residual_tol <= 0.0 {
+            return Err(SparseError::InvalidValue {
+                what: format!("residual_tol {} must be finite and > 0", self.residual_tol),
+            });
+        }
+        let base = FactorOptions {
+            ordering: Ordering::MinDegree,
+            threads: self.factor_threads,
+            boost: None,
+        };
+        Ok((base, FactorOptions { boost: Some(self.boost), ..base }))
     }
 }
 
@@ -454,31 +471,26 @@ fn solve_by_refactor(
     rhs: &[f64],
     rhs_inf: f64,
     probes: &[usize],
-    cfg: &ContingencyConfig,
+    fallback: FactorOptions,
+    residual_tol: f64,
     used_fallback: bool,
     report: &mut ContingencyReport,
 ) -> Result<OutageOutcome, SparseError> {
     let gp = perturbed_matrix(g, u, v, dw);
     report.refactorizations += 1;
-    match factorize_regularized_kernel(
-        &gp,
-        Ordering::MinDegree,
-        cfg.kernel,
-        cfg.factor_threads,
-        &cfg.boost,
-    ) {
-        Ok(reg) => {
-            let x = reg.factor.solve(rhs);
+    match CholeskyFactor::factorize(&gp, fallback) {
+        Ok(factor) => {
+            let x = factor.solve(rhs);
             let rel = gp.residual_inf_norm(&x, rhs) / rhs_inf;
             Ok(classify_solve(
                 i,
                 x,
                 rel,
-                cfg.residual_tol,
+                residual_tol,
                 probes,
                 0,
                 used_fallback,
-                reg.applied_shift,
+                factor.applied_shift(),
             ))
         }
         Err(SparseError::NotPositiveDefinite { .. }) => Ok(OutageOutcome::Failed(OutageFailure {
@@ -503,8 +515,13 @@ fn solve_by_refactor(
 ///
 /// # Errors
 ///
-/// [`SparseError`] only for sweep-level failures: the *base*
-/// conductance matrix does not factorize (the grid itself is broken).
+/// [`SparseError`] only for sweep-level failures, all raised before any
+/// outage is screened:
+/// - [`SparseError::InvalidValue`] for an invalid
+///   [`ContingencyConfig::boost`] ladder, or a
+///   [`ContingencyConfig::residual_tol`] that is not finite and positive;
+/// - the factorization error when the *base* conductance matrix does not
+///   factorize (the grid itself is broken).
 ///
 /// # Panics
 ///
@@ -549,6 +566,7 @@ pub fn simulate_contingency_batch(
     for &p in probes {
         assert!(p < n, "probe node {p} out of bounds for {n} nodes");
     }
+    let (base_opts, fallback) = cfg.checked_factor_options()?;
     let mut span = tracered_obs::span!("contingency.sweep", { n: n, outages: outages.len() });
     let g = pg.conductance_shared();
     let rhs = pg.dc_rhs();
@@ -560,12 +578,7 @@ pub fn simulate_contingency_batch(
         ..Default::default()
     };
     let t0 = Instant::now();
-    let mut factor = CholeskyFactor::factorize_kernel(
-        &g,
-        Ordering::MinDegree,
-        cfg.kernel,
-        cfg.factor_threads.max(1),
-    )?;
+    let mut factor = CholeskyFactor::factorize(&g, base_opts)?;
     report.base_factor_seconds = t0.elapsed().as_secs_f64();
 
     let sweep_t = Instant::now();
@@ -674,12 +687,7 @@ pub fn simulate_contingency_batch(
                     // Defensive only — the journal guarantees the
                     // inverse of the op just applied. Rebuild rather
                     // than continue on a perturbed factor.
-                    factor = CholeskyFactor::factorize_kernel(
-                        &g,
-                        Ordering::MinDegree,
-                        cfg.kernel,
-                        cfg.factor_threads.max(1),
-                    )?;
+                    factor = CholeskyFactor::factorize(&g, base_opts)?;
                 }
                 epoch += 1;
                 let event = OutageEvent { outage: i, epoch, used_fallback: false };
@@ -706,7 +714,8 @@ pub fn simulate_contingency_batch(
                     &rhs,
                     rhs_inf,
                     probes,
-                    cfg,
+                    fallback,
+                    cfg.residual_tol,
                     true,
                     &mut report,
                 )?);
@@ -746,7 +755,10 @@ pub fn simulate_contingency_batch(
 ///
 /// # Errors
 ///
-/// As for [`simulate_contingency_batch`].
+/// As for [`simulate_contingency_batch`], raised before any outage is
+/// screened: [`SparseError::InvalidValue`] for an invalid boost ladder or
+/// residual tolerance, and the factorization error when the base
+/// conductance matrix does not factorize.
 ///
 /// # Panics
 ///
@@ -761,6 +773,7 @@ pub fn simulate_contingency_refactor(
     for &p in probes {
         assert!(p < n, "probe node {p} out of bounds for {n} nodes");
     }
+    let (base_opts, fallback) = cfg.checked_factor_options()?;
     let g = pg.conductance_shared();
     let rhs = pg.dc_rhs();
     let rhs_inf = rhs.iter().fold(0.0f64, |m, x| m.max(x.abs())).max(f64::MIN_POSITIVE);
@@ -772,12 +785,7 @@ pub fn simulate_contingency_refactor(
     };
     let t0 = Instant::now();
     // The reference still needs one base factor for dw == 0 no-ops.
-    let base = CholeskyFactor::factorize_kernel(
-        &g,
-        Ordering::MinDegree,
-        cfg.kernel,
-        cfg.factor_threads.max(1),
-    )?;
+    let base = CholeskyFactor::factorize(&g, base_opts)?;
     report.base_factor_seconds = t0.elapsed().as_secs_f64();
 
     let sweep_t = Instant::now();
@@ -803,7 +811,8 @@ pub fn simulate_contingency_refactor(
                         &rhs,
                         rhs_inf,
                         probes,
-                        cfg,
+                        fallback,
+                        cfg.residual_tol,
                         false,
                         &mut report,
                     )?
@@ -814,12 +823,7 @@ pub fn simulate_contingency_refactor(
                 // Refactor-per-outage: the reference pays a fresh
                 // factorization even for an unchanged matrix.
                 report.refactorizations += 1;
-                let f = CholeskyFactor::factorize_kernel(
-                    &g,
-                    Ordering::MinDegree,
-                    cfg.kernel,
-                    cfg.factor_threads.max(1),
-                )?;
+                let f = CholeskyFactor::factorize(&g, base_opts)?;
                 let mut b = rhs.clone();
                 b[node] -= extra;
                 let x = f.solve(&b);

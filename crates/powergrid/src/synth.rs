@@ -190,7 +190,7 @@ mod tests {
     fn dc_analysis_is_solvable_and_near_vdd() {
         let pg = synthesize(&SynthConfig { mesh: 12, ..Default::default() });
         let g = pg.conductance_matrix();
-        let solver = tracered_solver::DirectSolver::new(&g).unwrap();
+        let solver = tracered_solver::DirectSolver::new_threads(&g, 1).unwrap();
         let v = solver.solve(&pg.dc_rhs());
         for &vi in &v {
             assert!(vi > 0.5 * pg.vdd() && vi <= pg.vdd() + 1e-9, "node voltage {vi}");

@@ -20,7 +20,7 @@ use tracered_solver::block::block_pcg_with_guess;
 use tracered_solver::pcg::PcgOptions;
 use tracered_solver::precond::{CholPreconditioner, Preconditioner};
 use tracered_solver::{DirectSolver, TerminationReason};
-use tracered_sparse::{KernelVariant, MultiVec, SparseError};
+use tracered_sparse::{MultiVec, SparseError};
 
 use crate::netlist::PowerGrid;
 use crate::waveform::merged_time_grid;
@@ -63,17 +63,12 @@ pub struct TransientConfig {
     /// Worker threads for the direct engine's matrix factorizations
     /// (`G + C/h` and the DC operating point): independent
     /// elimination-tree subtrees factor concurrently
-    /// ([`tracered_sparse::CholeskyFactor::factorize_threads`]). The
-    /// factor is bit-identical to serial at every count, so waveforms
-    /// are unchanged — only `factor_time` shrinks. This is the knob that
+    /// ([`tracered_sparse::FactorOptions::threads`]). The factor is
+    /// bit-identical to serial at every count, so waveforms are
+    /// unchanged — only `factor_time` shrinks. This is the knob that
     /// attacks the varied-step direct engine's dominant cost (one
     /// refactorization per step-size change).
     pub factor_threads: usize,
-    /// Numeric Cholesky kernel for the direct engine's factorizations
-    /// ([`KernelVariant::Supernodal`] runs blocked panel updates).
-    /// Bit-identity across thread counts holds *within* a kernel; the
-    /// two kernels agree only to rounding.
-    pub kernel: KernelVariant,
 }
 
 impl Default for TransientConfig {
@@ -86,7 +81,6 @@ impl Default for TransientConfig {
             scheme: IntegrationScheme::BackwardEuler,
             threads: 1,
             factor_threads: 1,
-            kernel: KernelVariant::Scalar,
         }
     }
 }
@@ -209,7 +203,7 @@ impl TransientResult {
 /// (floating network).
 pub fn dc_operating_point(pg: &PowerGrid) -> Result<Vec<f64>, SparseError> {
     let g = pg.conductance_shared();
-    let solver = DirectSolver::new(&g)?;
+    let solver = DirectSolver::new_threads(&g, 1)?;
     Ok(solver.solve(&pg.dc_rhs()))
 }
 
@@ -219,12 +213,11 @@ pub fn dc_operating_point(pg: &PowerGrid) -> Result<Vec<f64>, SparseError> {
 fn dc_points_batch_threads(
     pg: &PowerGrid,
     scenarios: &[SourceScenario],
-    kernel: KernelVariant,
     threads: usize,
 ) -> Result<MultiVec, SparseError> {
     let n = pg.num_nodes();
     let g = pg.conductance_shared();
-    let solver = DirectSolver::new_kernel(&g, kernel, threads)?;
+    let solver = DirectSolver::new_threads(&g, threads)?;
     let mut b = MultiVec::zeros(n, scenarios.len());
     for (col, sc) in b.cols_mut().zip(scenarios.iter()) {
         col.copy_from_slice(&pg.dc_rhs_scaled(sc.scales()));
@@ -246,7 +239,7 @@ pub fn dc_operating_points_batch(
     pg: &PowerGrid,
     scenarios: &[SourceScenario],
 ) -> Result<MultiVec, SparseError> {
-    dc_points_batch_threads(pg, scenarios, KernelVariant::Scalar, 1)
+    dc_points_batch_threads(pg, scenarios, 1)
 }
 
 /// Builds the step system matrix for a scheme:
@@ -361,11 +354,11 @@ pub fn simulate_direct_batch(
     });
     let t_factor = Instant::now();
     let a = system_matrix(pg, h, cfg.scheme);
-    let solver = DirectSolver::new_kernel(&a, cfg.kernel, cfg.factor_threads.max(1))?;
+    let solver = DirectSolver::new_threads(&a, cfg.factor_threads.max(1))?;
     let factor_time = t_factor.elapsed();
     let g_matrix = pg.conductance_shared();
 
-    let mut v = dc_points_batch_threads(pg, scenarios, cfg.kernel, cfg.factor_threads.max(1))?;
+    let mut v = dc_points_batch_threads(pg, scenarios, cfg.factor_threads.max(1))?;
     let mut rhs = MultiVec::zeros(n, k);
     let mut vnext = MultiVec::zeros(n, k);
     let mut gv = vec![0.0; n];
@@ -476,7 +469,7 @@ pub fn simulate_direct_varied(
         if stale {
             let tf = Instant::now();
             let a = system_matrix(pg, h, cfg.scheme);
-            let solver = DirectSolver::new_kernel(&a, cfg.kernel, cfg.factor_threads.max(1))?;
+            let solver = DirectSolver::new_threads(&a, cfg.factor_threads.max(1))?;
             factor_time += tf.elapsed();
             factorizations += 1;
             memory = memory.max(solver.memory_bytes());
@@ -796,7 +789,7 @@ pub fn simulate_pcg_batch_outcomes(
     if !active.is_empty() {
         let active_scenarios: Vec<SourceScenario> =
             active.iter().map(|&s| scenarios[s].clone()).collect();
-        v = dc_points_batch_threads(pg, &active_scenarios, cfg.kernel, cfg.factor_threads.max(1))?;
+        v = dc_points_batch_threads(pg, &active_scenarios, cfg.factor_threads.max(1))?;
         // A bad DC column (from a pathological but finite scale) fails
         // just that scenario.
         let keep: Vec<usize> = (0..active.len())

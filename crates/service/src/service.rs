@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use tracered_solver::SolverContext;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{BoostSchedule, KernelVariant, SparseError};
+use tracered_sparse::{BoostSchedule, FactorOptions, SparseError};
 
 use crate::aggregator;
 use crate::context::{CacheKey, ContextSpec, EpochState, PublishedContext};
@@ -47,11 +47,6 @@ pub struct ServiceConfig {
     /// Fill-reducing ordering for factorizations performed by the
     /// service (context builds and lazy direct factors).
     pub ordering: Ordering,
-    /// Numeric Cholesky kernel for factorizations performed by the
-    /// service. Affects summation order, so callers publishing specs
-    /// must fold it into the config tag (as
-    /// `SparsifyConfig::fingerprint` does) to keep cache slots distinct.
-    pub kernel: KernelVariant,
 }
 
 impl Default for ServiceConfig {
@@ -64,7 +59,6 @@ impl Default for ServiceConfig {
             max_iterations: 10_000,
             boost: BoostSchedule::default(),
             ordering: Ordering::MinDegree,
-            kernel: KernelVariant::Scalar,
         }
     }
 }
@@ -199,13 +193,15 @@ impl SolverService {
                 self.shared.metrics.cache_misses.inc();
                 // Factorize outside the lock: publishing a big topology
                 // must not stall request service on the old epoch.
-                let built = SolverContext::build_with(
+                let opts = FactorOptions {
+                    ordering: self.cfg.ordering,
+                    threads: self.cfg.factor_threads,
+                    boost: Some(self.cfg.boost),
+                };
+                let built = SolverContext::build(
                     Arc::clone(&spec.system),
                     Arc::clone(&spec.precond_matrix),
-                    &self.cfg.boost,
-                    self.cfg.factor_threads,
-                    self.cfg.ordering,
-                    self.cfg.kernel,
+                    opts,
                 )
                 .map(Arc::new)
                 .map_err(ServiceError::Solver)?;

@@ -243,28 +243,28 @@ fn epoch_swap_rejects_stale_pins_and_reuses_cached_factors() {
 }
 
 /// Regression for the fingerprint-collision bug: wildcard match arms in
-/// `SparsifyConfig::fingerprint` used to map every ordering (and any
-/// future kernel) to the same tag bits, so two configs differing only in
-/// those knobs would share a cache slot and one would be served the
-/// other's factor. Publishing specs whose tags differ only by ordering
-/// or kernel must each miss the cache.
+/// `SparsifyConfig::fingerprint` used to map every ordering to the same
+/// tag bits, so two configs differing only in that knob would share a
+/// cache slot and one would be served the other's factor. Publishing
+/// specs whose tags differ only by ordering or pivot boost must each miss
+/// the cache.
 #[test]
-fn cache_misses_when_only_ordering_or_kernel_differs() {
+fn cache_misses_when_only_ordering_or_boost_differs() {
     use tracered_core::SparsifyConfig;
     use tracered_sparse::order::Ordering;
-    use tracered_sparse::KernelVariant;
+    use tracered_sparse::BoostSchedule;
 
     let a = system(10, 0.05);
     let svc = SolverService::start(cfg_with_width(4));
 
     let base = SparsifyConfig::default();
     let nd = SparsifyConfig::default().ordering(Ordering::NestedDissection);
-    let sup = SparsifyConfig::default().kernel(KernelVariant::Supernodal);
+    let boosted = SparsifyConfig::default().pivot_boost(Some(BoostSchedule::default()));
     assert_ne!(base.fingerprint(), nd.fingerprint());
-    assert_ne!(base.fingerprint(), sup.fingerprint());
-    assert_ne!(nd.fingerprint(), sup.fingerprint());
+    assert_ne!(base.fingerprint(), boosted.fingerprint());
+    assert_ne!(nd.fingerprint(), boosted.fingerprint());
 
-    for cfg in [&base, &nd, &sup] {
+    for cfg in [&base, &nd, &boosted] {
         let before = svc.metrics();
         let spec = ContextSpec::new(Arc::clone(&a), Arc::clone(&a)).with_tag(cfg.fingerprint());
         svc.publish(spec).unwrap();
@@ -274,7 +274,7 @@ fn cache_misses_when_only_ordering_or_kernel_differs() {
     }
     // Same tag again: now it is a hit.
     let before = svc.metrics();
-    let spec = ContextSpec::new(Arc::clone(&a), Arc::clone(&a)).with_tag(sup.fingerprint());
+    let spec = ContextSpec::new(Arc::clone(&a), Arc::clone(&a)).with_tag(boosted.fingerprint());
     svc.publish(spec).unwrap();
     let after = svc.metrics();
     assert_eq!(after.cache_hits, before.cache_hits + 1);

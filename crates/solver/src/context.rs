@@ -18,9 +18,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tracered_sparse::order::Ordering;
-use tracered_sparse::regularize::{factorize_regularized_kernel, scan_non_finite};
-use tracered_sparse::{BoostSchedule, CholeskyFactor, CscMatrix, KernelVariant, SparseError};
+use tracered_sparse::regularize::scan_non_finite;
+use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, SparseError};
 
 use crate::precond::{CholPreconditioner, Preconditioner};
 
@@ -40,12 +39,13 @@ use crate::precond::{CholPreconditioner, Preconditioner};
 /// use tracered_graph::laplacian::laplacian_with_shifts;
 /// use tracered_solver::context::SolverContext;
 /// use tracered_solver::pcg::{pcg, PcgOptions};
-/// use tracered_sparse::BoostSchedule;
+/// use tracered_sparse::{BoostSchedule, FactorOptions};
 ///
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
 /// let g = grid2d(8, 8, WeightProfile::Unit, 3);
 /// let a = Arc::new(laplacian_with_shifts(&g, &vec![0.05; 64]));
-/// let ctx = SolverContext::build(Arc::clone(&a), a, &BoostSchedule::default(), 1)?;
+/// let opts = FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() };
+/// let ctx = SolverContext::build(Arc::clone(&a), a, opts)?;
 /// // The factorization above is paid once; every request reuses it.
 /// for seed in 0..3u64 {
 ///     let b: Vec<f64> = (0..64).map(|i| ((i as u64 * 7 + seed) % 5) as f64 - 2.0).collect();
@@ -60,11 +60,9 @@ pub struct SolverContext {
     system: Arc<CscMatrix>,
     precond_matrix: Arc<CscMatrix>,
     preconditioner: Arc<CholPreconditioner>,
-    applied_shift: f64,
-    boost: BoostSchedule,
-    factor_threads: usize,
-    ordering: Ordering,
-    kernel: KernelVariant,
+    /// Options of both factorizations: the preconditioner's and the
+    /// lazy direct factor's.
+    opts: FactorOptions,
     /// Direct factorization of the system matrix, built on first use by
     /// [`SolverContext::direct_factor`] and shared afterwards.
     direct: Arc<OnceLock<Result<Arc<CholeskyFactor>, SparseError>>>,
@@ -78,10 +76,12 @@ const _: () = {
 };
 
 impl SolverContext {
-    /// Builds a context by factorizing `precond_matrix` through the
-    /// boosted ladder of [`tracered_sparse::regularize`] — the same
-    /// factorization `robust_solve`'s stage 1 would perform per call,
-    /// paid once here.
+    /// Builds a context by factorizing `precond_matrix` with `opts` —
+    /// with a boost ladder, the same factorization `robust_solve`'s
+    /// stage 1 would perform per call, paid once here. The lazy
+    /// [`SolverContext::direct_factor`] uses the same `opts`, so the
+    /// caller's ordering reaches both factors. The diagonal shift a
+    /// boost applied is `preconditioner().factor().applied_shift()`.
     ///
     /// # Errors
     ///
@@ -89,42 +89,14 @@ impl SolverContext {
     ///   on shape mismatches;
     /// - [`SparseError::NonFiniteValue`] for NaN/Inf matrix entries,
     ///   [`SparseError::InvalidValue`] for an invalid ladder;
-    /// - the factorization error when every rung of the ladder fails on
-    ///   the preconditioner matrix (unlike `robust_solve`, a context
-    ///   build is strict: a service must not publish a context whose
-    ///   preconditioner does not exist).
+    /// - the factorization error when the preconditioner matrix does not
+    ///   factor (with a ladder: when every rung fails). Unlike
+    ///   `robust_solve`, a context build is strict: a service must not
+    ///   publish a context whose preconditioner does not exist.
     pub fn build(
         system: Arc<CscMatrix>,
         precond_matrix: Arc<CscMatrix>,
-        boost: &BoostSchedule,
-        factor_threads: usize,
-    ) -> Result<Self, SparseError> {
-        Self::build_with(
-            system,
-            precond_matrix,
-            boost,
-            factor_threads,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-        )
-    }
-
-    /// [`SolverContext::build`] with explicit factorization knobs: the
-    /// fill-reducing `ordering` and numeric `kernel` are used for the
-    /// preconditioner factorization here *and* remembered for the lazy
-    /// [`SolverContext::direct_factor`] — earlier revisions hardcoded
-    /// min-degree in both places, ignoring the caller's configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SolverContext::build`].
-    pub fn build_with(
-        system: Arc<CscMatrix>,
-        precond_matrix: Arc<CscMatrix>,
-        boost: &BoostSchedule,
-        factor_threads: usize,
-        ordering: Ordering,
-        kernel: KernelVariant,
+        opts: FactorOptions,
     ) -> Result<Self, SparseError> {
         let n = system.ncols();
         if system.nrows() != n {
@@ -136,58 +108,16 @@ impl SolverContext {
                 found: precond_matrix.ncols(),
             });
         }
-        boost.validate()?;
         scan_non_finite(&system)?;
         scan_non_finite(&precond_matrix)?;
-        let ft = factor_threads.max(1);
-        let rf = factorize_regularized_kernel(&precond_matrix, ordering, kernel, ft, boost)?;
-        Ok(SolverContext::from_parts(
+        let factor = CholeskyFactor::factorize(&precond_matrix, opts)?;
+        Ok(SolverContext {
             system,
             precond_matrix,
-            Arc::new(CholPreconditioner::from_factor(rf.factor)),
-            rf.applied_shift,
-            *boost,
-            ft,
-        )
-        .with_factor_opts(ordering, kernel))
-    }
-
-    /// Assembles a context from an already-factorized preconditioner —
-    /// for callers that built one through another path (e.g. a
-    /// sparsifier pipeline) and want to share it without refactorizing.
-    /// `applied_shift` is the diagonal boost baked into the factor
-    /// (`0.0` when none was needed); `boost` and `factor_threads` govern
-    /// the escalation-stage factorizations.
-    pub fn from_parts(
-        system: Arc<CscMatrix>,
-        precond_matrix: Arc<CscMatrix>,
-        preconditioner: Arc<CholPreconditioner>,
-        applied_shift: f64,
-        boost: BoostSchedule,
-        factor_threads: usize,
-    ) -> Self {
-        SolverContext {
-            system,
-            precond_matrix,
-            preconditioner,
-            applied_shift,
-            boost,
-            factor_threads: factor_threads.max(1),
-            ordering: Ordering::MinDegree,
-            kernel: KernelVariant::Scalar,
+            preconditioner: Arc::new(CholPreconditioner::from_factor(factor)),
+            opts,
             direct: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Sets the ordering and kernel used by factorizations this context
-    /// performs later (the lazy direct factor). Call before the first
-    /// [`SolverContext::direct_factor`]; the memoized factor is not
-    /// rebuilt.
-    #[must_use]
-    pub fn with_factor_opts(mut self, ordering: Ordering, kernel: KernelVariant) -> Self {
-        self.ordering = ordering;
-        self.kernel = kernel;
-        self
+        })
     }
 
     /// Problem dimension `n`.
@@ -210,54 +140,20 @@ impl SolverContext {
         &self.preconditioner
     }
 
-    /// Diagonal shift the boost ladder applied to the preconditioner
-    /// matrix (`0.0` when it factorized cleanly).
-    pub fn applied_shift(&self) -> f64 {
-        self.applied_shift
-    }
-
-    /// The boost ladder used for escalation-stage factorizations.
-    pub fn boost(&self) -> &BoostSchedule {
-        &self.boost
-    }
-
-    /// Worker threads for factorizations performed through this context.
-    pub fn factor_threads(&self) -> usize {
-        self.factor_threads
-    }
-
-    /// Fill-reducing ordering for factorizations through this context.
-    pub fn ordering(&self) -> Ordering {
-        self.ordering
-    }
-
-    /// Numeric Cholesky kernel for factorizations through this context.
-    pub fn kernel(&self) -> KernelVariant {
-        self.kernel
-    }
-
-    /// A direct (boosted) factorization of the *system* matrix, built on
-    /// first call and memoized — the multi-RHS direct engine of the
-    /// service layer. Concurrent first calls may race to factorize; one
+    /// A direct factorization of the *system* matrix with the context's
+    /// [`FactorOptions`], built on first call and memoized — the
+    /// multi-RHS direct engine of the service layer. Concurrent first calls may race to factorize; one
     /// result wins and the rest are dropped, so the cached factor is
     /// deterministic (the kernel is bit-identical at every thread count).
     ///
     /// # Errors
     ///
-    /// The factorization error when every rung of the ladder fails on the
-    /// system matrix; the failure is memoized like a success.
+    /// The factorization error when the system matrix does not factor
+    /// (with a ladder: when every rung fails); the failure is memoized
+    /// like a success.
     pub fn direct_factor(&self) -> Result<Arc<CholeskyFactor>, SparseError> {
         self.direct
-            .get_or_init(|| {
-                factorize_regularized_kernel(
-                    &self.system,
-                    self.ordering,
-                    self.kernel,
-                    self.factor_threads,
-                    &self.boost,
-                )
-                .map(|rf| Arc::new(rf.factor))
-            })
+            .get_or_init(|| CholeskyFactor::factorize(&self.system, self.opts).map(Arc::new))
             .clone()
     }
 
@@ -281,6 +177,13 @@ mod tests {
     use super::*;
     use tracered_graph::gen::{grid2d, WeightProfile};
     use tracered_graph::laplacian::laplacian_with_shifts;
+    use tracered_sparse::order::Ordering;
+    use tracered_sparse::BoostSchedule;
+
+    /// The options the service builds contexts with.
+    fn boosted() -> FactorOptions {
+        FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() }
+    }
 
     fn system() -> (Arc<CscMatrix>, Arc<CscMatrix>, Vec<f64>) {
         let g = grid2d(10, 10, WeightProfile::Unit, 2);
@@ -293,7 +196,7 @@ mod tests {
     #[test]
     fn direct_factor_is_memoized_and_solves() {
         let (a, m, b) = system();
-        let ctx = SolverContext::build(Arc::clone(&a), m, &BoostSchedule::default(), 1).unwrap();
+        let ctx = SolverContext::build(Arc::clone(&a), m, boosted()).unwrap();
         let f1 = ctx.direct_factor().unwrap();
         let f2 = ctx.direct_factor().unwrap();
         assert_eq!(Arc::as_ptr(&f1), Arc::as_ptr(&f2), "second call must hit the memo");
@@ -307,14 +210,35 @@ mod tests {
         let g = grid2d(3, 3, WeightProfile::Unit, 1);
         let small = Arc::new(laplacian_with_shifts(&g, &[0.1; 9]));
         assert!(matches!(
-            SolverContext::build(Arc::clone(&a), small, &BoostSchedule::default(), 1),
+            SolverContext::build(Arc::clone(&a), small, boosted()),
             Err(SparseError::DimensionMismatch { .. })
         ));
         let mut bad = (*a).clone();
         bad.values_mut()[0] = f64::NAN;
         assert!(matches!(
-            SolverContext::build(Arc::new(bad), a, &BoostSchedule::default(), 1),
+            SolverContext::build(Arc::new(bad), a, boosted()),
             Err(SparseError::NonFiniteValue { .. })
         ));
+    }
+
+    /// The context's ordering must reach both of its factors: the
+    /// preconditioner built here and the lazy direct factor.
+    #[test]
+    fn ordering_reaches_both_factors() {
+        let (a, m, _) = system();
+        for ordering in [Ordering::NestedDissection, Ordering::MinDegree] {
+            let opts = FactorOptions { ordering, ..boosted() };
+            let ctx = SolverContext::build(Arc::clone(&a), Arc::clone(&m), opts).unwrap();
+            let expected = ordering.compute(&a).unwrap();
+            assert_eq!(ctx.preconditioner().factor().perm(), &expected, "{ordering:?}");
+            assert_eq!(ctx.direct_factor().unwrap().perm(), &expected, "{ordering:?}");
+        }
+        // The default options order with minimum degree, and the two
+        // orderings differ on this grid, so the check above has teeth.
+        let ctx = SolverContext::build(Arc::clone(&a), m, FactorOptions::default()).unwrap();
+        let md = Ordering::MinDegree.compute(&a).unwrap();
+        assert_eq!(ctx.preconditioner().factor().perm(), &md);
+        assert_eq!(ctx.direct_factor().unwrap().perm(), &md);
+        assert_ne!(Ordering::NestedDissection.compute(&a).unwrap(), md);
     }
 }

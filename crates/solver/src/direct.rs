@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CscMatrix, KernelVariant, SparseError};
+use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, KernelVariant, SparseError};
 
 /// A factor-once / solve-many direct solver.
 ///
@@ -24,7 +24,7 @@ use tracered_sparse::{CholeskyFactor, CscMatrix, KernelVariant, SparseError};
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
 /// let g = grid2d(8, 8, WeightProfile::Unit, 0);
 /// let a = laplacian_with_shifts(&g, &vec![0.1; 64]);
-/// let solver = DirectSolver::new(&a)?;
+/// let solver = DirectSolver::new_threads(&a, 1)?;
 /// let x = solver.solve(&vec![1.0; 64]);
 /// assert!(a.residual_inf_norm(&x, &vec![1.0; 64]) < 1e-9);
 /// # Ok(())
@@ -42,85 +42,38 @@ impl DirectSolver {
     /// does before committing to a factorization. AMD wins on power-grid
     /// conductance matrices, nested dissection on 3-D meshes.
     ///
+    /// The numeric factorization runs on up to `threads` workers of the
+    /// global pool (`<= 1` is serial), bit-identical to the serial factor
+    /// at every count — only `factor_time` changes.
+    ///
     /// # Errors
     ///
     /// Returns [`SparseError::NotPositiveDefinite`] for singular or
     /// indefinite input.
-    pub fn new(a: &CscMatrix) -> Result<Self, SparseError> {
-        Self::new_threads(a, 1)
-    }
-
-    /// [`DirectSolver::new`] with the numeric factorization running on up
-    /// to `threads` workers of the global pool: independent
-    /// elimination-tree subtrees factor concurrently
-    /// ([`CholeskyFactor::factorize_threads`]), bit-identical to the
-    /// serial factor at every thread count — only `factor_time` changes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
     pub fn new_threads(a: &CscMatrix, threads: usize) -> Result<Self, SparseError> {
-        Self::new_kernel(a, KernelVariant::Scalar, threads)
-    }
-
-    /// [`DirectSolver::new_threads`] with an explicit numeric kernel
-    /// ([`KernelVariant::Supernodal`] runs blocked panel updates instead
-    /// of the scalar up-looking sweep; same ordering auto-selection).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn new_kernel(
-        a: &CscMatrix,
-        kernel: KernelVariant,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
         let t = Instant::now();
         let (_, perm, _) = tracered_sparse::order::select_ordering(
             a,
             &[Ordering::MinDegree, Ordering::NestedDissection],
         )?;
-        let factor = CholeskyFactor::factorize_with_perm_kernel(a, perm, kernel, threads)?;
+        let factor =
+            CholeskyFactor::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, threads)?;
         Ok(DirectSolver { factor, factor_time: t.elapsed() })
     }
 
-    /// Factorizes with an explicit ordering choice.
+    /// [`DirectSolver::new_threads`] with an explicit ordering choice.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn with_ordering(a: &CscMatrix, ordering: Ordering) -> Result<Self, SparseError> {
-        Self::with_ordering_threads(a, ordering, 1)
-    }
-
-    /// [`DirectSolver::with_ordering`] with the parallel numeric phase of
-    /// [`DirectSolver::new_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
+    /// Same conditions as [`DirectSolver::new_threads`].
     pub fn with_ordering_threads(
         a: &CscMatrix,
         ordering: Ordering,
         threads: usize,
     ) -> Result<Self, SparseError> {
-        Self::with_ordering_kernel(a, ordering, KernelVariant::Scalar, threads)
-    }
-
-    /// [`DirectSolver::with_ordering_threads`] with an explicit numeric
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn with_ordering_kernel(
-        a: &CscMatrix,
-        ordering: Ordering,
-        kernel: KernelVariant,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
         let t = Instant::now();
-        let factor = CholeskyFactor::factorize_kernel(a, ordering, kernel, threads)?;
+        let factor =
+            CholeskyFactor::factorize(a, FactorOptions { ordering, threads, boost: None })?;
         Ok(DirectSolver { factor, factor_time: t.elapsed() })
     }
 
@@ -174,7 +127,7 @@ mod tests {
     fn many_rhs_share_one_factorization() {
         let g = tri_mesh(9, 9, WeightProfile::LogUniform { lo: 0.5, hi: 2.0 }, 4);
         let a = laplacian_with_shifts(&g, &vec![0.02; 81]);
-        let solver = DirectSolver::new(&a).unwrap();
+        let solver = DirectSolver::new_threads(&a, 1).unwrap();
         for k in 0..5 {
             let b: Vec<f64> = (0..81).map(|i| ((i + k) as f64).sin()).collect();
             let x = solver.solve(&b);
@@ -188,7 +141,10 @@ mod tests {
     fn singular_matrix_is_rejected() {
         let g = tri_mesh(4, 4, WeightProfile::Unit, 0);
         let a = laplacian_with_shifts(&g, &[0.0; 16]);
-        assert!(matches!(DirectSolver::new(&a), Err(SparseError::NotPositiveDefinite { .. })));
+        assert!(matches!(
+            DirectSolver::new_threads(&a, 1),
+            Err(SparseError::NotPositiveDefinite { .. })
+        ));
     }
 
     #[test]
@@ -196,8 +152,8 @@ mod tests {
         let g = tri_mesh(7, 7, WeightProfile::Unit, 1);
         let a = laplacian_with_shifts(&g, &vec![0.5; 49]);
         let b: Vec<f64> = (0..49).map(|i| (i as f64) * 0.01).collect();
-        let x1 = DirectSolver::with_ordering(&a, Ordering::Natural).unwrap().solve(&b);
-        let x2 = DirectSolver::with_ordering(&a, Ordering::MinDegree).unwrap().solve(&b);
+        let x1 = DirectSolver::with_ordering_threads(&a, Ordering::Natural, 1).unwrap().solve(&b);
+        let x2 = DirectSolver::with_ordering_threads(&a, Ordering::MinDegree, 1).unwrap().solve(&b);
         for i in 0..49 {
             assert!((x1[i] - x2[i]).abs() < 1e-9);
         }

@@ -99,7 +99,7 @@ mod tests {
         let g = Graph::from_edges(n, &edges).unwrap();
         let shift = 0.01;
         let l = laplacian_with_shifts(&g, &vec![shift; n]);
-        let solver = DirectSolver::new(&l).unwrap();
+        let solver = DirectSolver::new_threads(&l, 1).unwrap();
         let res = fiedler_vector(n, |b| (solver.solve(b), 0), 30, 1);
         let v = &res.vector;
         let increasing = v.windows(2).all(|w| w[1] >= w[0] - 1e-9);
@@ -124,7 +124,7 @@ mod tests {
         edges.push((0, 6, 0.01));
         let g = Graph::from_edges(12, &edges).unwrap();
         let l = laplacian_with_shifts(&g, &[0.005; 12]);
-        let solver = DirectSolver::new(&l).unwrap();
+        let solver = DirectSolver::new_threads(&l, 1).unwrap();
         let res = fiedler_vector(12, |b| (solver.solve(b), 0), 40, 3);
         let v = &res.vector;
         let s0 = v[0].signum();
@@ -137,7 +137,7 @@ mod tests {
         let g = grid2d(8, 8, WeightProfile::Unit, 3);
         let n = 64;
         let l = laplacian_with_shifts(&g, &vec![0.01; n]);
-        let direct = DirectSolver::new(&l).unwrap();
+        let direct = DirectSolver::new_threads(&l, 1).unwrap();
         let rd = fiedler_vector(n, |b| (direct.solve(b), 0), 25, 5);
         let pre = CholPreconditioner::from_matrix(&l).unwrap();
         let opts = PcgOptions::with_tolerance(1e-10);
@@ -161,7 +161,7 @@ mod tests {
     fn vector_is_unit_norm_and_mean_free() {
         let g = grid2d(6, 6, WeightProfile::Unit, 9);
         let l = laplacian_with_shifts(&g, &vec![0.02; 36]);
-        let solver = DirectSolver::new(&l).unwrap();
+        let solver = DirectSolver::new_threads(&l, 1).unwrap();
         let res = fiedler_vector(36, |b| (solver.solve(b), 0), 10, 2);
         let norm: f64 = res.vector.iter().map(|v| v * v).sum::<f64>();
         let mean: f64 = res.vector.iter().sum::<f64>() / 36.0;

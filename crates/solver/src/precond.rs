@@ -2,7 +2,7 @@
 
 use tracered_sparse::ichol::IncompleteCholesky;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CscMatrix, MultiVec, SparseError};
+use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, MultiVec, SparseError};
 
 /// Application of a symmetric positive definite preconditioner `M⁻¹`.
 pub trait Preconditioner {
@@ -115,18 +115,17 @@ impl CholPreconditioner {
 
     /// [`CholPreconditioner::from_matrix`] with the numeric factorization
     /// split across up to `threads` pool workers
-    /// ([`CholeskyFactor::factorize_threads`]). The factor — and hence
-    /// every PCG iterate preconditioned by it — is bit-identical to the
-    /// serial build at every thread count.
+    /// ([`CholeskyFactor::factorize`]). The factor — and hence every PCG
+    /// iterate preconditioned by it — is bit-identical to the serial build
+    /// at every thread count.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::NotPositiveDefinite`] when `m` is singular or
     /// indefinite.
     pub fn from_matrix_threads(m: &CscMatrix, threads: usize) -> Result<Self, SparseError> {
-        Ok(CholPreconditioner {
-            factor: CholeskyFactor::factorize_threads(m, Ordering::MinDegree, threads)?,
-        })
+        let opts = FactorOptions { threads, ..Ordering::MinDegree.into() };
+        Ok(CholPreconditioner { factor: CholeskyFactor::factorize(m, opts)? })
     }
 
     /// Wraps an existing factorization.

@@ -15,10 +15,8 @@
 #![warn(clippy::unwrap_used)]
 
 use tracered_sparse::order::Ordering;
-use tracered_sparse::regularize::{
-    factorize_regularized_kernel, scan_non_finite, BoostSchedule, RegularizedFactor,
-};
-use tracered_sparse::{CscMatrix, KernelVariant, SparseError};
+use tracered_sparse::regularize::{scan_non_finite, BoostSchedule};
+use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, SparseError};
 
 use crate::pcg::{pcg_with_guess, PcgOptions, PcgSolution};
 use crate::precond::CholPreconditioner;
@@ -39,8 +37,6 @@ pub struct RobustSolveConfig {
     /// Earlier revisions hardcoded [`Ordering::MinDegree`] here, silently
     /// ignoring the caller's configured ordering on escalation.
     pub ordering: Ordering,
-    /// Numeric Cholesky kernel used by every factorization in the chain.
-    pub kernel: KernelVariant,
     /// Enable stage 2: retry PCG with a harder-boosted preconditioner,
     /// warm-started from the best stage-1 iterate.
     pub refresh_preconditioner: bool,
@@ -56,7 +52,6 @@ impl Default for RobustSolveConfig {
             boost: BoostSchedule::default(),
             factor_threads: 1,
             ordering: Ordering::MinDegree,
-            kernel: KernelVariant::Scalar,
             refresh_preconditioner: true,
             allow_direct: true,
         }
@@ -227,7 +222,11 @@ pub fn robust_solve(
             what: format!("non-finite right-hand side entry at index {i}"),
         });
     }
-    let ft = cfg.factor_threads.max(1);
+    let factor_opts = FactorOptions {
+        ordering: cfg.ordering,
+        threads: cfg.factor_threads,
+        boost: Some(cfg.boost),
+    };
     let tol = cfg.pcg.rel_tolerance;
     let mut attempts: Vec<SolveAttempt> = Vec::new();
 
@@ -236,13 +235,11 @@ pub fn robust_solve(
     // not fatal — the chain continues without it.
     let mut best_x: Option<Vec<f64>> = None;
     let mut stage1_shift = 0.0;
-    if let Ok(RegularizedFactor { factor, applied_shift, .. }) =
-        factorize_regularized_kernel(precond_matrix, cfg.ordering, cfg.kernel, ft, &cfg.boost)
-    {
-        stage1_shift = applied_shift;
+    if let Ok(factor) = CholeskyFactor::factorize(precond_matrix, factor_opts) {
+        stage1_shift = factor.applied_shift();
         let pre = CholPreconditioner::from_factor(factor);
         let sol = pcg_with_guess(a, b, None, &pre, &cfg.pcg);
-        attempts.push(attempt_of(SolveStrategy::Pcg, &sol, applied_shift));
+        attempts.push(attempt_of(SolveStrategy::Pcg, &sol, stage1_shift));
         if sol.converged {
             return Ok(RobustSolution {
                 rel_residual: sol.rel_residual,
@@ -267,10 +264,8 @@ pub fn robust_solve(
                 cfg.boost.shift_at(0, diagonal_scale(precond_matrix))
             };
             let bumped = precond_matrix.add_diagonal(&vec![bump; n])?;
-            if let Ok(RegularizedFactor { factor, applied_shift, .. }) =
-                factorize_regularized_kernel(&bumped, cfg.ordering, cfg.kernel, ft, &cfg.boost)
-            {
-                let total_shift = bump + applied_shift;
+            if let Ok(factor) = CholeskyFactor::factorize(&bumped, factor_opts) {
+                let total_shift = bump + factor.applied_shift();
                 let pre = CholPreconditioner::from_factor(factor);
                 let sol = pcg_with_guess(a, b, Some(guess), &pre, &cfg.pcg);
                 attempts.push(attempt_of(SolveStrategy::RefreshedPcg, &sol, total_shift));
@@ -293,8 +288,8 @@ pub fn robust_solve(
     // factorization of a genuinely singular system honestly reports the
     // perturbation error instead of claiming convergence.
     if cfg.allow_direct {
-        let rf = factorize_regularized_kernel(a, cfg.ordering, cfg.kernel, ft, &cfg.boost)?;
-        let x = rf.factor.solve(b);
+        let factor = CholeskyFactor::factorize(a, factor_opts)?;
+        let x = factor.solve(b);
         let rel = true_rel_residual(a, &x, b);
         let reason = classify_residual(rel, tol);
         attempts.push(SolveAttempt {
@@ -302,7 +297,7 @@ pub fn robust_solve(
             reason,
             iterations: 0,
             rel_residual: rel,
-            applied_shift: rf.applied_shift,
+            applied_shift: factor.applied_shift(),
         });
         return Ok(RobustSolution {
             x,
@@ -459,5 +454,31 @@ mod tests {
             robust_solve(&a, &b, &small, &RobustSolveConfig::default()),
             Err(SparseError::DimensionMismatch { .. })
         ));
+    }
+
+    /// A Jacobi-grade preconditioner and a 1-iteration cap force the
+    /// chain all the way to the direct stage, which must factor with the
+    /// caller's ordering (it used to hardcode min-degree): its answer is
+    /// bit for bit the solve through a nested-dissection factor of `a`.
+    #[test]
+    fn escalation_honors_configured_ordering() {
+        let g = tracered_graph::gen::tri_mesh(12, 12, WeightProfile::Unit, 3);
+        let n = g.num_nodes();
+        let a = laplacian_with_shifts(&g, &vec![0.05; n]);
+        let m = weak_precond(&a);
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
+        let cfg = RobustSolveConfig {
+            pcg: PcgOptions { rel_tolerance: 1e-10, max_iterations: 1, ..Default::default() },
+            ordering: Ordering::NestedDissection,
+            ..Default::default()
+        };
+        let sol = robust_solve(&a, &b, &m, &cfg).unwrap();
+        assert!(sol.converged());
+        assert_eq!(sol.strategy, SolveStrategy::Direct);
+        assert!(a.residual_inf_norm(&sol.x, &b) < 1e-6);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let solve = |ord: Ordering| CholeskyFactor::factorize(&a, ord).unwrap().solve(&b);
+        assert_eq!(bits(&sol.x), bits(&solve(Ordering::NestedDissection)));
+        assert_ne!(bits(&sol.x), bits(&solve(Ordering::MinDegree)));
     }
 }

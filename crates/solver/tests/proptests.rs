@@ -26,7 +26,7 @@ proptest! {
         let n = g.num_nodes();
         let a = laplacian_with_shifts(&g, &vec![0.05; n]);
         let opts = PcgOptions { rel_tolerance: 1e-10, max_iterations: 10_000, ..Default::default() };
-        let reference = DirectSolver::new(&a).unwrap().solve(&b);
+        let reference = DirectSolver::new_threads(&a, 1).unwrap().solve(&b);
         let x_id = pcg(&a, &b, &IdentityPreconditioner, &opts).x;
         let x_ja = pcg(&a, &b, &JacobiPreconditioner::from_matrix(&a).unwrap(), &opts).x;
         let x_ic = pcg(&a, &b, &IcPreconditioner::from_matrix(&a).unwrap(), &opts).x;
@@ -58,7 +58,7 @@ proptest! {
         let n = g.num_nodes();
         let a = laplacian_with_shifts(&g, &vec![0.05; n]);
         let opts = PcgOptions { rel_tolerance: 1e-9, max_iterations: 10_000, ..Default::default() };
-        let x = DirectSolver::new(&a).unwrap().solve(&b);
+        let x = DirectSolver::new_threads(&a, 1).unwrap().solve(&b);
         let warm = pcg_with_guess(&a, &b, Some(&x), &IdentityPreconditioner, &opts);
         prop_assert!(warm.iterations <= 1);
         prop_assert!(warm.converged);
@@ -80,7 +80,7 @@ proptest! {
     fn direct_solver_residual_is_tiny((g, b) in arb_system()) {
         let n = g.num_nodes();
         let a = laplacian_with_shifts(&g, &vec![0.01; n]);
-        let x = DirectSolver::new(&a).unwrap().solve(&b);
+        let x = DirectSolver::new_threads(&a, 1).unwrap().solve(&b);
         let bnorm = b.iter().map(|v| v.abs()).fold(1.0, f64::max);
         prop_assert!(a.residual_inf_norm(&x, &b) < 1e-9 * bnorm);
     }

@@ -12,6 +12,7 @@ use crate::etree::{self, NO_PARENT};
 use crate::multivec::MultiVec;
 use crate::order::Ordering;
 use crate::perm::Permutation;
+use crate::regularize::{diagonal_scale, scan_non_finite, BoostSchedule};
 use crate::supernode::KernelVariant;
 
 /// Symbolic analysis of a (permuted) symmetric matrix: elimination tree and
@@ -93,6 +94,38 @@ impl SymbolicCholesky {
     }
 }
 
+/// How [`CholeskyFactor::factorize`] orders and factors a matrix: the one
+/// options struct every factorization in the workspace goes through, as
+/// CHOLMOD's `cholmod_common` steers its analyze/factorize pair.
+///
+/// The default — approximate minimum degree, one thread, no boost —
+/// matches the defaults of the sparsifier configuration. `From<Ordering>`
+/// fills the rest from the default, so `factorize(&a, Ordering::Natural)`
+/// needs no struct literal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FactorOptions {
+    /// Fill-reducing ordering, computed once per factorization.
+    pub ordering: Ordering,
+    /// Worker threads for the numeric phase; `<= 1` runs the serial
+    /// kernel. The factor is bit-identical at every count.
+    pub threads: usize,
+    /// Diagonal-boost ladder climbed on a non-positive pivot
+    /// ([`crate::regularize`]); `None` returns the pivot failure.
+    pub boost: Option<BoostSchedule>,
+}
+
+impl Default for FactorOptions {
+    fn default() -> Self {
+        FactorOptions { ordering: Ordering::MinDegree, threads: 1, boost: None }
+    }
+}
+
+impl From<Ordering> for FactorOptions {
+    fn from(ordering: Ordering) -> Self {
+        FactorOptions { ordering, ..Default::default() }
+    }
+}
+
 /// A sparse Cholesky factorization `P A Pᵀ = L Lᵀ`.
 ///
 /// `L` is lower triangular with sorted row indices, so the diagonal entry
@@ -118,6 +151,9 @@ impl SymbolicCholesky {
 pub struct CholeskyFactor {
     perm: Permutation,
     l: CscMatrix,
+    /// Diagonal shift the boost ladder applied (see
+    /// [`CholeskyFactor::applied_shift`]).
+    applied_shift: f64,
     /// LIFO undo journal of applied rank-1 updates/downdates (see
     /// [`crate::update`]): reverting the most recent operation with the
     /// same vector restores the factor bit-for-bit instead of replaying
@@ -126,35 +162,25 @@ pub struct CholeskyFactor {
 }
 
 impl CholeskyFactor {
-    /// Factorizes a symmetric positive definite matrix, first computing a
-    /// fill-reducing permutation with `ordering`.
+    /// Orders and factorizes a symmetric positive definite matrix as
+    /// `opts` says: the fill-reducing [`FactorOptions::ordering`], the
+    /// numeric phase on up to [`FactorOptions::threads`] workers, and,
+    /// when [`FactorOptions::boost`] is set, the diagonal-boost ladder of
+    /// [`crate::regularize`] on a pivot failure. An [`Ordering`] alone
+    /// converts into default options.
     ///
     /// Only the upper triangle of `a` is read; symmetry of the input is the
     /// caller's responsibility (use [`CscMatrix::is_symmetric_within`] to
     /// check when in doubt).
     ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::NotSquare`] for rectangular inputs and
-    /// [`SparseError::NotPositiveDefinite`] when a pivot fails.
-    pub fn factorize(a: &CscMatrix, ordering: Ordering) -> Result<Self, SparseError> {
-        Self::factorize_threads(a, ordering, 1)
-    }
-
-    /// [`CholeskyFactor::factorize`] with the numeric phase running on up
-    /// to `threads` worker threads of the global `tracered_par` pool:
-    /// independent elimination-tree subtrees factor concurrently and the
-    /// dense top-of-tree columns run on the serial kernel (see
-    /// [`crate::etree::EtreeSchedule`]).
-    ///
-    /// The factor is **bit-identical** to the serial one at every thread
-    /// count: each column's summation order is fixed by the etree (a
+    /// The factor is **bit-identical** at every thread count: each
+    /// column's summation order is fixed by the elimination tree (a
     /// column's updates come from its ancestors, which form a chain), so
-    /// the schedule changes only wall-clock time. `threads <= 1` is the
-    /// exact historical serial path.
+    /// the subtree schedule of [`crate::etree::EtreeSchedule`] changes only
+    /// wall-clock time. `threads <= 1` runs the serial kernel.
     ///
     /// ```
-    /// use tracered_sparse::{CholeskyFactor, CooMatrix, order::Ordering};
+    /// use tracered_sparse::{CholeskyFactor, CooMatrix, FactorOptions, order::Ordering};
     ///
     /// # fn main() -> Result<(), tracered_sparse::SparseError> {
     /// let mut coo = CooMatrix::new(3, 3);
@@ -163,51 +189,73 @@ impl CholeskyFactor {
     /// coo.push_symmetric(1, 2, -1.0)?;
     /// let a = coo.to_csc();
     /// let serial = CholeskyFactor::factorize(&a, Ordering::Natural)?;
-    /// let parallel = CholeskyFactor::factorize_threads(&a, Ordering::Natural, 4)?;
+    /// let opts = FactorOptions { ordering: Ordering::Natural, threads: 4, boost: None };
+    /// let parallel = CholeskyFactor::factorize(&a, opts)?;
     /// assert_eq!(serial.l().values(), parallel.l().values());
+    /// assert_eq!(parallel.applied_shift(), 0.0);
     /// # Ok(())
     /// # }
     /// ```
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CholeskyFactor::factorize`].
-    pub fn factorize_threads(
+    /// - [`SparseError::NotSquare`] for rectangular inputs;
+    /// - [`SparseError::NotPositiveDefinite`] when a pivot fails — with a
+    ///   boost ladder, when even its top rung fails (the last pivot
+    ///   failure is reported);
+    /// - with a boost ladder, [`SparseError::InvalidValue`] for an invalid
+    ///   [`BoostSchedule`] and [`SparseError::NonFiniteValue`] for NaN or
+    ///   infinite entries.
+    pub fn factorize(a: &CscMatrix, opts: impl Into<FactorOptions>) -> Result<Self, SparseError> {
+        let FactorOptions { ordering, threads, boost } = opts.into();
+        match boost {
+            None => {
+                let perm = ordering.compute(a)?;
+                Self::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, threads)
+            }
+            Some(schedule) => Self::factorize_boosted(a, ordering, threads, &schedule),
+        }
+    }
+
+    /// The boost ladder of [`CholeskyFactor::factorize`]: the permutation
+    /// is computed once (a diagonal shift never changes the pattern) and
+    /// each rung factors an explicitly boosted copy of `a`, so the
+    /// bit-identity across thread counts carries over.
+    fn factorize_boosted(
         a: &CscMatrix,
         ordering: Ordering,
         threads: usize,
+        schedule: &BoostSchedule,
     ) -> Result<Self, SparseError> {
+        schedule.validate()?;
+        scan_non_finite(a)?;
         let perm = ordering.compute(a)?;
-        Self::factorize_with_perm_threads(a, perm, threads)
+        let factor = |m: &CscMatrix| {
+            Self::factorize_with_perm_kernel(m, perm.clone(), KernelVariant::Scalar, threads)
+        };
+        let mut last = match factor(a) {
+            Err(e @ SparseError::NotPositiveDefinite { .. }) => e,
+            done => return done,
+        };
+        let scale = diagonal_scale(a);
+        for attempt in 0..schedule.max_boosts {
+            let shift = schedule.shift_at(attempt, scale);
+            match factor(&a.add_diagonal(&vec![shift; a.ncols()])?) {
+                Ok(mut f) => {
+                    f.applied_shift = shift;
+                    return Ok(f);
+                }
+                Err(e @ SparseError::NotPositiveDefinite { .. }) => last = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last)
     }
 
-    /// Factorizes with a caller-provided permutation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CholeskyFactor::factorize`], plus
-    /// [`SparseError::DimensionMismatch`] if the permutation size differs.
-    pub fn factorize_with_perm(a: &CscMatrix, perm: Permutation) -> Result<Self, SparseError> {
-        Self::factorize_with_perm_threads(a, perm, 1)
-    }
-
-    /// [`CholeskyFactor::factorize_with_perm`] with the parallel numeric
-    /// phase of [`CholeskyFactor::factorize_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CholeskyFactor::factorize_with_perm`].
-    pub fn factorize_with_perm_threads(
-        a: &CscMatrix,
-        perm: Permutation,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        Self::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, threads)
-    }
-
-    /// [`CholeskyFactor::factorize_threads`] with an explicit numeric
-    /// kernel choice: the scalar up-looking row kernel or the supernodal
-    /// blocked-panel kernel (see [`crate::supernode`]).
+    /// Factorizes with a caller-provided permutation and an explicit
+    /// numeric kernel: the scalar up-looking row kernel or the supernodal
+    /// blocked-panel kernel (see [`crate::supernode`]), on up to
+    /// `threads` workers. [`CholeskyFactor::factorize`] funnels into it.
     ///
     /// Each variant is bit-identical to itself at every thread count; the
     /// two variants agree only up to rounding (different summation
@@ -215,24 +263,9 @@ impl CholeskyFactor {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CholeskyFactor::factorize`].
-    pub fn factorize_kernel(
-        a: &CscMatrix,
-        ordering: Ordering,
-        kernel: KernelVariant,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        let perm = ordering.compute(a)?;
-        Self::factorize_with_perm_kernel(a, perm, kernel, threads)
-    }
-
-    /// [`CholeskyFactor::factorize_with_perm`] with an explicit numeric
-    /// kernel choice — the entry point every other `factorize*` method
-    /// funnels into.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CholeskyFactor::factorize_with_perm`].
+    /// Same conditions as [`CholeskyFactor::factorize`] without a boost,
+    /// plus [`SparseError::DimensionMismatch`] if the permutation size
+    /// differs.
     pub fn factorize_with_perm_kernel(
         a: &CscMatrix,
         perm: Permutation,
@@ -259,7 +292,14 @@ impl CholeskyFactor {
                 crate::supernode::numeric_supernodal(&c, &symbolic, threads)?
             }
         };
-        Ok(CholeskyFactor { perm, l, journal: Vec::new() })
+        Ok(CholeskyFactor { perm, l, applied_shift: 0.0, journal: Vec::new() })
+    }
+
+    /// The diagonal shift the boost ladder added before the successful
+    /// attempt: this is a factor of `A + applied_shift · I`. `0.0` when
+    /// the matrix factored as given.
+    pub fn applied_shift(&self) -> f64 {
+        self.applied_shift
     }
 
     /// Dimension of the factored matrix.
@@ -1033,7 +1073,8 @@ mod tests {
         for ord in [Ordering::Natural, Ordering::MinDegree] {
             let serial = CholeskyFactor::factorize(&a, ord).unwrap();
             for threads in [2usize, 4] {
-                let par = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+                let par =
+                    CholeskyFactor::factorize(&a, FactorOptions { threads, ..ord.into() }).unwrap();
                 let n = serial.n();
                 assert!((0..n).all(|k| par.perm().new_to_old(k) == serial.perm().new_to_old(k)));
                 assert_factors_bit_identical(par.l(), serial.l());
@@ -1045,7 +1086,8 @@ mod tests {
     fn parallel_factor_small_matrix_falls_back_to_serial() {
         let a = grid_laplacian_shifted(4, 0.5);
         let serial = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
-        let par = CholeskyFactor::factorize_threads(&a, Ordering::MinDegree, 8).unwrap();
+        let opts = FactorOptions { threads: 8, ..Default::default() };
+        let par = CholeskyFactor::factorize(&a, opts).unwrap();
         assert_factors_bit_identical(par.l(), serial.l());
     }
 
@@ -1071,7 +1113,8 @@ mod tests {
                 other => panic!("expected a pivot failure, got {other:?}"),
             };
             for threads in [2usize, 4] {
-                match CholeskyFactor::factorize_threads(&m, Ordering::Natural, threads) {
+                let opts = FactorOptions { threads, ..Ordering::Natural.into() };
+                match CholeskyFactor::factorize(&m, opts) {
                     Err(SparseError::NotPositiveDefinite { column }) => {
                         assert_eq!(column, serial_col, "threads {threads}, poisoned {bad}");
                     }

@@ -9,10 +9,12 @@
 //!   dissection) in [`order`];
 //! - an elimination-tree based symbolic analysis ([`etree`]) and an
 //!   up-looking numeric sparse Cholesky factorization ([`chol`]) in the
-//!   style of CSparse/CHOLMOD, with a subtree-scheduled parallel
-//!   numeric path ([`CholeskyFactor::factorize_threads`]) that factors
-//!   independent elimination-tree subtrees concurrently and is
-//!   bit-identical to the serial kernel at every thread count;
+//!   style of CSparse/CHOLMOD, steered by one [`FactorOptions`] (ordering,
+//!   threads, diagonal-boost ladder) through
+//!   [`CholeskyFactor::factorize`]; its subtree-scheduled parallel
+//!   numeric path factors independent elimination-tree subtrees
+//!   concurrently and is bit-identical to the serial kernel at every
+//!   thread count;
 //! - sparse triangular solves and a convenience SDD solver;
 //! - CHOLMOD-style sparse rank-1 update/downdate of a factor in place
 //!   ([`update`]), with elimination-tree pattern growth, typed
@@ -70,17 +72,14 @@ pub mod sparsevec;
 pub mod supernode;
 pub mod update;
 
-pub use chol::CholeskyFactor;
+pub use chol::{CholeskyFactor, FactorOptions};
 pub use coo::CooMatrix;
 pub use csc::{par_axpy, par_dot, par_xpby, CscMatrix};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use multivec::MultiVec;
 pub use perm::Permutation;
-pub use regularize::{
-    factorize_regularized, factorize_regularized_kernel, factorize_regularized_threads,
-    scan_non_finite, BoostSchedule, RegularizedFactor,
-};
+pub use regularize::{scan_non_finite, BoostSchedule};
 pub use spai::{ApproxInverse, SpaiOptions};
 pub use supernode::{KernelVariant, SupernodePartition};
 pub use update::UpdateReport;

@@ -5,35 +5,37 @@
 //! Production sparse solvers (CHOLMOD's `beta` shift, PETSc's
 //! `PCFactorSetShiftType`) recover from marginally indefinite or
 //! near-singular matrices by adding a small multiple of the identity to
-//! the diagonal and refactorizing. [`factorize_regularized`] brings that
-//! discipline here: on a pivot failure it climbs a geometric shift ladder
-//! ([`BoostSchedule`]) — `σ₀·s, σ₀·g·s, σ₀·g²·s, …` where `s` is the mean
-//! absolute diagonal — until a factorization succeeds, and reports the
-//! applied shift in the returned [`RegularizedFactor`] so callers can
-//! account for the perturbation (e.g. by using the boosted factor as a
+//! the diagonal and refactorizing. [`CholeskyFactor::factorize`] brings
+//! that discipline here when its [`FactorOptions::boost`] is set: on a
+//! pivot failure it climbs a geometric shift ladder ([`BoostSchedule`]) —
+//! `σ₀·s, σ₀·g·s, σ₀·g²·s, …` where `s` is the mean absolute diagonal —
+//! until a factorization succeeds, and records the applied shift on the
+//! factor ([`CholeskyFactor::applied_shift`]) so callers can account for
+//! the perturbation (e.g. by using the boosted factor as a
 //! preconditioner rather than a direct solve).
 //!
 //! The boost is applied to the **input matrix** (one
 //! [`CscMatrix::add_diagonal`] per rung), not smuggled into the numeric
-//! kernel, so the bit-identity contract of
-//! [`CholeskyFactor::factorize_threads`] is untouched: serial and
-//! parallel factorizations of the same boosted matrix agree bit for bit
-//! at every thread count.
+//! kernel, so the bit-identity contract of [`CholeskyFactor::factorize`]
+//! is untouched: serial and parallel factorizations of the same boosted
+//! matrix agree bit for bit at every thread count.
 //!
 //! A cheap non-finite input scan ([`scan_non_finite`]) runs first: NaN or
 //! infinite entries are input corruption, not conditioning, and no shift
 //! recovers them — they surface immediately as the typed
 //! [`SparseError::NonFiniteValue`].
+//!
+//! [`CholeskyFactor::factorize`]: crate::CholeskyFactor::factorize
+//! [`CholeskyFactor::applied_shift`]: crate::CholeskyFactor::applied_shift
+//! [`FactorOptions::boost`]: crate::FactorOptions::boost
 
 #![warn(clippy::unwrap_used)]
 
-use crate::chol::CholeskyFactor;
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
-use crate::order::Ordering;
-use crate::supernode::KernelVariant;
 
-/// Geometric diagonal-boost ladder for [`factorize_regularized`].
+/// Geometric diagonal-boost ladder for [`crate::CholeskyFactor::factorize`]
+/// (set as [`crate::FactorOptions::boost`]).
 ///
 /// Rung `k` (0-based) shifts the diagonal by
 /// `initial_relative · growthᵏ · scale`, where `scale` is the mean
@@ -41,6 +43,36 @@ use crate::supernode::KernelVariant;
 /// defaults start ten orders of magnitude below the diagonal scale and
 /// climb fast: eight rungs reach `10⁶ · scale`, far past the point where
 /// any SDD-like matrix factors.
+///
+/// # Example
+///
+/// An unshifted graph Laplacian is singular — a plain factorization
+/// fails, while the boosted one recovers with a tiny recorded shift:
+///
+/// ```
+/// use tracered_sparse::order::Ordering;
+/// use tracered_sparse::{BoostSchedule, CholeskyFactor, CooMatrix, FactorOptions};
+///
+/// # fn main() -> Result<(), tracered_sparse::SparseError> {
+/// // Path-graph Laplacian: positive *semi*-definite, singular.
+/// let mut coo = CooMatrix::new(3, 3);
+/// coo.push(0, 0, 1.0)?;
+/// coo.push(1, 1, 2.0)?;
+/// coo.push(2, 2, 1.0)?;
+/// coo.push_symmetric(0, 1, -1.0)?;
+/// coo.push_symmetric(1, 2, -1.0)?;
+/// let l = coo.to_csc();
+///
+/// assert!(CholeskyFactor::factorize(&l, Ordering::Natural).is_err());
+/// let boost = Some(BoostSchedule::default());
+/// let f = CholeskyFactor::factorize(&l, FactorOptions { boost, ..Ordering::Natural.into() })?;
+/// assert!(f.applied_shift() > 0.0, "recovery must report its shift");
+/// // The boosted factor solves the regularized system accurately.
+/// let x = f.solve(&[1.0, 0.0, -1.0]);
+/// assert!(x.iter().all(|v| v.is_finite()));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostSchedule {
     /// First shift, relative to the diagonal scale (default `1e-10`).
@@ -94,32 +126,6 @@ impl BoostSchedule {
     }
 }
 
-/// A Cholesky factorization that may have required a diagonal boost,
-/// carrying the applied shift so no perturbation goes unreported.
-#[derive(Debug, Clone)]
-pub struct RegularizedFactor {
-    /// The successful factorization (of `A + applied_shift · I`).
-    pub factor: CholeskyFactor,
-    /// Diagonal shift that was added before the successful attempt
-    /// (`0.0` when the matrix factored as given).
-    pub applied_shift: f64,
-    /// Total factorization attempts, counting the unshifted one (`1`
-    /// means no boost was needed).
-    pub attempts: usize,
-}
-
-impl RegularizedFactor {
-    /// `true` when the matrix factored without any boost.
-    pub fn is_unboosted(&self) -> bool {
-        self.applied_shift == 0.0
-    }
-
-    /// Unwraps the factorization.
-    pub fn into_factor(self) -> CholeskyFactor {
-        self.factor
-    }
-}
-
 /// Scans every stored entry for NaN or infinite values — the cheap input
 /// hygiene check run before factorizations and robust solves, `O(nnz)`
 /// with no allocation.
@@ -138,7 +144,7 @@ pub fn scan_non_finite(a: &CscMatrix) -> Result<(), SparseError> {
 }
 
 /// Mean absolute diagonal — the natural scale for relative shifts.
-fn diagonal_scale(a: &CscMatrix) -> f64 {
+pub(crate) fn diagonal_scale(a: &CscMatrix) -> f64 {
     let d = a.diagonal();
     if d.is_empty() {
         return 1.0;
@@ -151,128 +157,13 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
     }
 }
 
-/// [`factorize_regularized_threads`] on the serial numeric kernel.
-///
-/// # Example
-///
-/// An unshifted graph Laplacian is singular — a plain factorization
-/// fails, while the regularized one recovers with a tiny reported shift:
-///
-/// ```
-/// use tracered_sparse::order::Ordering;
-/// use tracered_sparse::regularize::{factorize_regularized, BoostSchedule};
-/// use tracered_sparse::{CholeskyFactor, CooMatrix};
-///
-/// # fn main() -> Result<(), tracered_sparse::SparseError> {
-/// // Path-graph Laplacian: positive *semi*-definite, singular.
-/// let mut coo = CooMatrix::new(3, 3);
-/// coo.push(0, 0, 1.0)?;
-/// coo.push(1, 1, 2.0)?;
-/// coo.push(2, 2, 1.0)?;
-/// coo.push_symmetric(0, 1, -1.0)?;
-/// coo.push_symmetric(1, 2, -1.0)?;
-/// let l = coo.to_csc();
-///
-/// assert!(CholeskyFactor::factorize(&l, Ordering::Natural).is_err());
-/// let rf = factorize_regularized(&l, Ordering::Natural, &BoostSchedule::default())?;
-/// assert!(rf.applied_shift > 0.0, "recovery must report its shift");
-/// assert!(rf.attempts >= 2);
-/// // The boosted factor solves the regularized system accurately.
-/// let x = rf.factor.solve(&[1.0, 0.0, -1.0]);
-/// assert!(x.iter().all(|v| v.is_finite()));
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// Same conditions as [`factorize_regularized_threads`].
-pub fn factorize_regularized(
-    a: &CscMatrix,
-    ordering: Ordering,
-    schedule: &BoostSchedule,
-) -> Result<RegularizedFactor, SparseError> {
-    factorize_regularized_threads(a, ordering, 1, schedule)
-}
-
-/// Factorizes `a`, retrying with a geometric diagonal-boost ladder on
-/// pivot failure; the numeric phase runs on up to `threads` pool workers
-/// ([`CholeskyFactor::factorize_threads`]).
-///
-/// The fill-reducing permutation is computed once (the boost never
-/// changes the sparsity pattern) and reused across attempts. Because each
-/// attempt factors an explicitly boosted copy of the input, the result is
-/// bit-identical across thread counts, exactly like the underlying
-/// kernels.
-///
-/// # Errors
-///
-/// - [`SparseError::NonFiniteValue`] if the input scan finds NaN/Inf;
-/// - [`SparseError::InvalidValue`] for an invalid [`BoostSchedule`];
-/// - [`SparseError::NotPositiveDefinite`] when even the top rung of the
-///   ladder fails (the last pivot failure is reported);
-/// - any structural error of the underlying factorization
-///   ([`SparseError::NotSquare`] etc.).
-pub fn factorize_regularized_threads(
-    a: &CscMatrix,
-    ordering: Ordering,
-    threads: usize,
-    schedule: &BoostSchedule,
-) -> Result<RegularizedFactor, SparseError> {
-    factorize_regularized_kernel(a, ordering, KernelVariant::Scalar, threads, schedule)
-}
-
-/// [`factorize_regularized_threads`] with an explicit numeric kernel
-/// choice ([`CholeskyFactor::factorize_kernel`]): every rung of the boost
-/// ladder factors with the same `kernel`, so the escalation chain keeps
-/// the caller's configured variant end to end.
-///
-/// # Errors
-///
-/// Same conditions as [`factorize_regularized_threads`].
-pub fn factorize_regularized_kernel(
-    a: &CscMatrix,
-    ordering: Ordering,
-    kernel: KernelVariant,
-    threads: usize,
-    schedule: &BoostSchedule,
-) -> Result<RegularizedFactor, SparseError> {
-    schedule.validate()?;
-    scan_non_finite(a)?;
-    let perm = ordering.compute(a)?;
-    let mut last =
-        match CholeskyFactor::factorize_with_perm_kernel(a, perm.clone(), kernel, threads) {
-            Ok(factor) => {
-                return Ok(RegularizedFactor { factor, applied_shift: 0.0, attempts: 1 });
-            }
-            Err(e @ SparseError::NotPositiveDefinite { .. }) => e,
-            Err(e) => return Err(e),
-        };
-    let scale = diagonal_scale(a);
-    let n = a.ncols();
-    for attempt in 0..schedule.max_boosts {
-        let shift = schedule.shift_at(attempt, scale);
-        let boosted = a.add_diagonal(&vec![shift; n])?;
-        match CholeskyFactor::factorize_with_perm_kernel(&boosted, perm.clone(), kernel, threads) {
-            Ok(factor) => {
-                return Ok(RegularizedFactor {
-                    factor,
-                    applied_shift: shift,
-                    attempts: attempt + 2,
-                });
-            }
-            Err(e @ SparseError::NotPositiveDefinite { .. }) => last = e,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::chol::{CholeskyFactor, FactorOptions};
     use crate::coo::CooMatrix;
+    use crate::order::Ordering;
 
     fn spd() -> CscMatrix {
         let mut coo = CooMatrix::new(4, 4);
@@ -297,13 +188,24 @@ mod tests {
         coo.to_csc()
     }
 
+    /// `a` factored through the boost ladder.
+    fn boosted(
+        a: &CscMatrix,
+        ordering: Ordering,
+        threads: usize,
+        schedule: BoostSchedule,
+    ) -> Result<CholeskyFactor, SparseError> {
+        CholeskyFactor::factorize(a, FactorOptions { ordering, threads, boost: Some(schedule) })
+    }
+
     #[test]
     fn spd_input_takes_one_attempt_and_no_shift() {
         let a = spd();
-        let rf = factorize_regularized(&a, Ordering::MinDegree, &BoostSchedule::default()).unwrap();
-        assert!(rf.is_unboosted());
-        assert_eq!(rf.attempts, 1);
-        let x = rf.factor.solve(&[1.0, 2.0, 3.0, 4.0]);
+        let f = boosted(&a, Ordering::MinDegree, 1, BoostSchedule::default()).unwrap();
+        assert_eq!(f.applied_shift(), 0.0);
+        let plain = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
+        assert_eq!(f.l().values(), plain.l().values());
+        let x = f.solve(&[1.0, 2.0, 3.0, 4.0]);
         assert!(a.residual_inf_norm(&x, &[1.0, 2.0, 3.0, 4.0]) < 1e-12);
     }
 
@@ -314,33 +216,22 @@ mod tests {
             CholeskyFactor::factorize(&l, Ordering::Natural),
             Err(SparseError::NotPositiveDefinite { .. })
         ));
-        let rf = factorize_regularized(&l, Ordering::Natural, &BoostSchedule::default()).unwrap();
-        assert!(rf.applied_shift > 0.0);
-        assert!(!rf.is_unboosted());
-        assert!(rf.attempts >= 2);
+        let f = boosted(&l, Ordering::Natural, 1, BoostSchedule::default()).unwrap();
+        assert!(f.applied_shift() > 0.0);
         // The shift is part of the input: the factor solves L + σI exactly.
-        let boosted = l.add_diagonal(&[rf.applied_shift; 4]).unwrap();
-        let x = rf.factor.solve(&[1.0, -1.0, 1.0, -1.0]);
+        let boosted = l.add_diagonal(&[f.applied_shift(); 4]).unwrap();
+        let x = f.solve(&[1.0, -1.0, 1.0, -1.0]);
         assert!(boosted.residual_inf_norm(&x, &[1.0, -1.0, 1.0, -1.0]) < 1e-9);
     }
 
     #[test]
     fn boosted_factor_is_bit_identical_across_thread_counts() {
         let l = singular_laplacian();
-        let serial =
-            factorize_regularized_threads(&l, Ordering::MinDegree, 1, &BoostSchedule::default())
-                .unwrap();
+        let serial = boosted(&l, Ordering::MinDegree, 1, BoostSchedule::default()).unwrap();
         for threads in [2usize, 4] {
-            let par = factorize_regularized_threads(
-                &l,
-                Ordering::MinDegree,
-                threads,
-                &BoostSchedule::default(),
-            )
-            .unwrap();
-            assert_eq!(par.applied_shift, serial.applied_shift);
-            assert_eq!(par.attempts, serial.attempts);
-            assert_eq!(par.factor.l().values(), serial.factor.l().values());
+            let par = boosted(&l, Ordering::MinDegree, threads, BoostSchedule::default()).unwrap();
+            assert_eq!(par.applied_shift(), serial.applied_shift());
+            assert_eq!(par.l().values(), serial.l().values());
         }
     }
 
@@ -349,7 +240,7 @@ mod tests {
         let mut a = spd();
         a.values_mut()[2] = f64::NAN;
         assert!(matches!(scan_non_finite(&a), Err(SparseError::NonFiniteValue { .. })));
-        let err = factorize_regularized(&a, Ordering::Natural, &BoostSchedule::default())
+        let err = boosted(&a, Ordering::Natural, 1, BoostSchedule::default())
             .expect_err("NaN input must not factor");
         assert!(matches!(err, SparseError::NonFiniteValue { .. }));
         let mut b = spd();
@@ -369,13 +260,13 @@ mod tests {
         }
         let a = coo.to_csc();
         let short = BoostSchedule { initial_relative: 1e-10, growth: 10.0, max_boosts: 3 };
-        let err = factorize_regularized(&a, Ordering::Natural, &short)
-            .expect_err("short ladder cannot rescue -I");
+        let err =
+            boosted(&a, Ordering::Natural, 1, short).expect_err("short ladder cannot rescue -I");
         assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
         // A ladder that climbs past |diag| does rescue it.
         let tall = BoostSchedule { initial_relative: 1e-2, growth: 100.0, max_boosts: 4 };
-        let rf = factorize_regularized(&a, Ordering::Natural, &tall).unwrap();
-        assert!(rf.applied_shift > 1.0);
+        let f = boosted(&a, Ordering::Natural, 1, tall).unwrap();
+        assert!(f.applied_shift() > 1.0);
     }
 
     #[test]
@@ -389,7 +280,7 @@ mod tests {
             BoostSchedule { max_boosts: 0, ..Default::default() },
         ] {
             assert!(matches!(
-                factorize_regularized(&a, Ordering::Natural, &bad),
+                boosted(&a, Ordering::Natural, 1, bad),
                 Err(SparseError::InvalidValue { .. })
             ));
         }

@@ -26,7 +26,7 @@
 //!   [`SparseError::NotPositiveDefinite`] with the factor restored
 //!   bit-for-bit to its pre-call state. Callers escalate exactly like a
 //!   failed factorization — e.g. re-assemble and retry through the
-//!   [`crate::regularize::factorize_regularized`] boost ladder.
+//!   [`crate::regularize`] boost ladder of [`CholeskyFactor::factorize`].
 //! - **Revert is bit-exact.** Hyperbolic rotations are not exact
 //!   inverses in floating point, so "update then downdate with the same
 //!   vector" replayed numerically would drift in the last ulps. Each
@@ -135,8 +135,8 @@ impl CholeskyFactor {
     /// returns [`SparseError::NotPositiveDefinite`] naming the permuted
     /// column where the pivot died, with the factor restored. Callers
     /// fall back exactly as for a failed factorization — re-assemble the
-    /// perturbed matrix and escalate through
-    /// [`crate::regularize::factorize_regularized`].
+    /// perturbed matrix and escalate through the [`crate::regularize`]
+    /// boost ladder of [`CholeskyFactor::factorize`].
     pub fn downdate(&mut self, w: &[f64]) -> Result<UpdateReport, SparseError> {
         self.rank_one(w, -1)
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use tracered_sparse::chol::{etree_consistent_with_factor, SymbolicCholesky};
 use tracered_sparse::etree::NO_PARENT;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix};
+use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, FactorOptions, KernelVariant};
 
 /// Deterministic weight stream so proptest only has to explore shapes,
 /// shifts and seeds (a tiny LCG, not a statistical RNG).
@@ -94,7 +94,8 @@ proptest! {
         for ord in ORDERINGS {
             let serial = CholeskyFactor::factorize(&a, ord).unwrap();
             for threads in [1usize, 2, 4] {
-                let par = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+                let opts = FactorOptions { threads, ..ord.into() };
+                let par = CholeskyFactor::factorize(&a, opts).unwrap();
                 assert_csc_bit_identical(par.l(), serial.l(), &format!("{ord:?} t={threads}"));
             }
         }
@@ -150,8 +151,9 @@ proptest! {
             let c = a.symmetric_perm_upper(&perm).unwrap();
             let symbolic = SymbolicCholesky::analyze(&c).unwrap();
             for threads in [1usize, 4] {
-                let f =
-                    CholeskyFactor::factorize_with_perm_threads(&a, perm.clone(), threads).unwrap();
+                let scalar = KernelVariant::Scalar;
+                let f = CholeskyFactor::factorize_with_perm_kernel(&a, perm.clone(), scalar, threads)
+                    .unwrap();
                 prop_assert!(
                     etree_consistent_with_factor(f.l(), symbolic.parent()),
                     "{ord:?} at {threads} threads: factor structure disagrees with the etree"
@@ -169,7 +171,8 @@ proptest! {
         let serial = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
         let xs = serial.solve(&b);
         for threads in [2usize, 4] {
-            let par = CholeskyFactor::factorize_threads(&a, Ordering::MinDegree, threads).unwrap();
+            let opts = FactorOptions { threads, ..Default::default() };
+            let par = CholeskyFactor::factorize(&a, opts).unwrap();
             let xp = par.solve(&b);
             for (s, p) in xs.iter().zip(xp.iter()) {
                 prop_assert_eq!(s.to_bits(), p.to_bits());

@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use tracered_sparse::chol::SymbolicCholesky;
 use tracered_sparse::etree::NO_PARENT;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, KernelVariant, SupernodePartition};
+use tracered_sparse::{
+    CholeskyFactor, CooMatrix, CscMatrix, KernelVariant, SparseError, SupernodePartition,
+};
 
 /// Deterministic weight stream (tiny LCG) so proptest only explores
 /// shapes, shifts and seeds.
@@ -82,6 +84,16 @@ fn assert_csc_bit_identical(a: &CscMatrix, b: &CscMatrix, what: &str) {
     }
 }
 
+/// `a` ordered with `ord` and factored by `kernel` on `threads` workers.
+fn factor(
+    a: &CscMatrix,
+    ord: Ordering,
+    kernel: KernelVariant,
+    threads: usize,
+) -> Result<CholeskyFactor, SparseError> {
+    CholeskyFactor::factorize_with_perm_kernel(a, ord.compute(a)?, kernel, threads)
+}
+
 const ORDERINGS: [Ordering; 3] =
     [Ordering::Natural, Ordering::MinDegree, Ordering::NestedDissection];
 
@@ -99,7 +111,7 @@ proptest! {
             let c = a.symmetric_perm_upper(&perm).unwrap();
             let symbolic = SymbolicCholesky::analyze(&c).unwrap();
             let part = SupernodePartition::from_symbolic(&c, &symbolic);
-            let f = CholeskyFactor::factorize_with_perm(&a, perm.clone()).unwrap();
+            let f = CholeskyFactor::factorize(&a, ord).unwrap();
             let l = f.l();
             let n = symbolic.n();
             let parent = symbolic.parent();
@@ -151,9 +163,8 @@ proptest! {
     #[test]
     fn supernodal_matches_scalar_within_tolerance(a in arb_spd()) {
         for ord in ORDERINGS {
-            let scalar = CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Scalar, 1).unwrap();
-            let blocked =
-                CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, 1).unwrap();
+            let scalar = factor(&a, ord, KernelVariant::Scalar, 1).unwrap();
+            let blocked = factor(&a, ord, KernelVariant::Supernodal, 1).unwrap();
             prop_assert_eq!(scalar.l().colptr(), blocked.l().colptr(), "{:?}: colptr", ord);
             prop_assert_eq!(scalar.l().rowidx(), blocked.l().rowidx(), "{:?}: rowidx", ord);
             for (i, (x, y)) in
@@ -172,12 +183,9 @@ proptest! {
     #[test]
     fn supernodal_bit_identical_across_threads(a in arb_spd()) {
         for ord in [Ordering::MinDegree, Ordering::NestedDissection, Ordering::Natural] {
-            let serial =
-                CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, 1).unwrap();
+            let serial = factor(&a, ord, KernelVariant::Supernodal, 1).unwrap();
             for threads in [2usize, 4] {
-                let par =
-                    CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, threads)
-                        .unwrap();
+                let par = factor(&a, ord, KernelVariant::Supernodal, threads).unwrap();
                 assert_csc_bit_identical(
                     par.l(),
                     serial.l(),
@@ -192,13 +200,7 @@ proptest! {
     fn supernodal_solve_residual(a in arb_spd()) {
         let n = a.ncols();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
-        let f = CholeskyFactor::factorize_kernel(
-            &a,
-            Ordering::MinDegree,
-            KernelVariant::Supernodal,
-            4,
-        )
-        .unwrap();
+        let f = factor(&a, Ordering::MinDegree, KernelVariant::Supernodal, 4).unwrap();
         let x = f.solve(&b);
         prop_assert!(a.residual_inf_norm(&x, &b) < 1e-8);
     }
@@ -238,12 +240,9 @@ fn supernodal_first_failure_matches_scalar() {
         }
         let a = coo.to_csc();
         for ord in [Ordering::Natural, Ordering::MinDegree] {
-            let scalar_err =
-                CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Scalar, 1).unwrap_err();
+            let scalar_err = factor(&a, ord, KernelVariant::Scalar, 1).unwrap_err();
             for threads in [1usize, 2, 4] {
-                let err =
-                    CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, threads)
-                        .unwrap_err();
+                let err = factor(&a, ord, KernelVariant::Supernodal, threads).unwrap_err();
                 assert_eq!(
                     format!("{scalar_err:?}"),
                     format!("{err:?}"),
@@ -260,12 +259,8 @@ fn supernodal_first_failure_matches_scalar() {
 fn supernodal_small_matrices() {
     for n in [1usize, 2, 5, 16] {
         let a = tridiag_spd(n.max(2), 0.7, 11);
-        let scalar =
-            CholeskyFactor::factorize_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1)
-                .unwrap();
-        let blocked =
-            CholeskyFactor::factorize_kernel(&a, Ordering::Natural, KernelVariant::Supernodal, 4)
-                .unwrap();
+        let scalar = factor(&a, Ordering::Natural, KernelVariant::Scalar, 1).unwrap();
+        let blocked = factor(&a, Ordering::Natural, KernelVariant::Supernodal, 4).unwrap();
         assert_eq!(scalar.l().colptr(), blocked.l().colptr());
         assert_eq!(scalar.l().rowidx(), blocked.l().rowidx());
         for (x, y) in scalar.l().values().iter().zip(blocked.l().values()) {

@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, SparseError};
+use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, FactorOptions, SparseError};
 
 /// Deterministic weight stream (a tiny LCG, not a statistical RNG).
 fn weight(seed: u64, i: usize) -> f64 {
@@ -140,7 +140,8 @@ proptest! {
         let vec = edge_vector(n, u, v, w);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).cos()).collect();
         for threads in [1usize, 4] {
-            let mut f = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+            let opts = FactorOptions { threads, ..ord.into() };
+            let mut f = CholeskyFactor::factorize(&a, opts).unwrap();
             let baseline = solve_bits(&f, &b);
             f.update(&vec).unwrap();
             let restored = f.downdate(&vec).unwrap();
@@ -173,7 +174,7 @@ proptest! {
         let sign = sign_sel == 1;
         let vec = edge_vector(n, u, v, w);
         let sigma = if sign { 1.0 } else { -1.0 };
-        let mut f = CholeskyFactor::factorize_threads(&a, ord, 1).unwrap();
+        let mut f = CholeskyFactor::factorize(&a, ord).unwrap();
         let applied = if sign { f.update(&vec) } else { f.downdate(&vec) };
         if applied.is_err() {
             // A downdate may legitimately lose definiteness for an
@@ -206,7 +207,8 @@ proptest! {
         let mut vec = vec![0.0; n];
         vec[node] = (9.0 * a.get(node, node)).sqrt();
         for threads in [1usize, 4] {
-            let mut f = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+            let opts = FactorOptions { threads, ..ord.into() };
+            let mut f = CholeskyFactor::factorize(&a, opts).unwrap();
             let lbits: Vec<u64> = f.l().values().iter().map(|x| x.to_bits()).collect();
             let err = f.downdate(&vec).unwrap_err();
             prop_assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
@@ -228,8 +230,8 @@ proptest! {
     ) {
         let n = a.ncols();
         let vec = edge_vector(n, u, v, w);
-        let mut f1 = CholeskyFactor::factorize_threads(&a, ord, 1).unwrap();
-        let mut f4 = CholeskyFactor::factorize_threads(&a, ord, 4).unwrap();
+        let mut f1 = CholeskyFactor::factorize(&a, ord).unwrap();
+        let mut f4 = CholeskyFactor::factorize(&a, FactorOptions { threads: 4, ..ord.into() }).unwrap();
         f1.update(&vec).unwrap();
         f4.update(&vec).unwrap();
         prop_assert_eq!(f1.l().colptr(), f4.l().colptr());
@@ -242,11 +244,11 @@ proptest! {
 
 /// Deterministic (non-property) composition check: a downdate that
 /// kills positive definiteness escalates cleanly through the
-/// `factorize_regularized` boost ladder on the re-assembled matrix —
+/// boost ladder of `CholeskyFactor::factorize` on the re-assembled matrix —
 /// the fallback route the contingency sweep takes.
 #[test]
 fn failed_downdate_composes_with_regularized_refactorization() {
-    use tracered_sparse::{factorize_regularized, BoostSchedule};
+    use tracered_sparse::BoostSchedule;
 
     let a = grid_spd(6, 6, 1e-9, 7);
     let n = a.ncols();
@@ -261,7 +263,7 @@ fn failed_downdate_composes_with_regularized_refactorization() {
     // …and the caller re-assembles A − v vᵀ and climbs the ladder; the
     // boosted factor is still usable as a (degraded) preconditioner.
     let ap = perturbed(&a, &vec, -1.0);
-    let reg = factorize_regularized(&ap, Ordering::MinDegree, &BoostSchedule::default());
-    assert!(reg.is_ok());
-    assert!(!reg.unwrap().is_unboosted());
+    let boost = Some(BoostSchedule::default());
+    let reg = CholeskyFactor::factorize(&ap, FactorOptions { boost, ..Default::default() });
+    assert!(reg.unwrap().applied_shift() > 0.0);
 }

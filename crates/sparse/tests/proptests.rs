@@ -5,7 +5,8 @@ use tracered_sparse::ichol::IncompleteCholesky;
 use tracered_sparse::order::{nested_dissection, Ordering};
 use tracered_sparse::sparsevec::SparseVec;
 use tracered_sparse::{
-    ApproxInverse, CholeskyFactor, CooMatrix, CscMatrix, MultiVec, Permutation, SpaiOptions,
+    ApproxInverse, CholeskyFactor, CooMatrix, CscMatrix, KernelVariant, MultiVec, Permutation,
+    SpaiOptions,
 };
 
 /// Strategy: a connected weighted graph on `n` nodes given as a random
@@ -222,7 +223,8 @@ proptest! {
         let a = laplacian(n, &edges, 0.2);
         let p = nested_dissection(&a);
         prop_assert_eq!(p.len(), n);
-        let f = CholeskyFactor::factorize_with_perm(&a, p).unwrap();
+        let f =
+            CholeskyFactor::factorize_with_perm_kernel(&a, p, KernelVariant::Scalar, 1).unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
         let x = f.solve(&b);
         prop_assert!(a.residual_inf_norm(&x, &b) < 1e-8);
@@ -235,8 +237,7 @@ proptest! {
         let candidates = [Ordering::Natural, Ordering::MinDegree, Ordering::NestedDissection];
         let (_, _, best_fill) = select_ordering(&a, &candidates).unwrap();
         for ord in candidates {
-            let perm = ord.compute(&a).unwrap();
-            let f = CholeskyFactor::factorize_with_perm(&a, perm).unwrap();
+            let f = CholeskyFactor::factorize(&a, ord).unwrap();
             prop_assert!(best_fill <= f.nnz(), "selection missed a better ordering");
         }
     }

@@ -9,13 +9,16 @@
 //! CI runs this suite under `TRACERED_THREADS=1` and
 //! `TRACERED_THREADS=4`.
 
+use std::cell::Cell;
 use tracered_graph::Graph;
 use tracered_powergrid::synth::{synthesize, SynthConfig};
+
 use tracered_powergrid::{
     simulate_contingency_batch, simulate_contingency_refactor, ContingencyConfig,
-    ContingencyMethod, ContingencySweep, CurrentSource, Outage, OutageFailureKind, OutageOutcome,
-    PowerGrid, PulseWaveform,
+    ContingencyMethod, ContingencySweep, CurrentSource, EpochHook, Outage, OutageEvent,
+    OutageFailureKind, OutageOutcome, PowerGrid, PulseWaveform,
 };
+use tracered_sparse::{BoostSchedule, SparseError};
 
 /// Asserts outage-for-outage equivalence of two sweeps: completed
 /// solves within `tol` (relative), failures bitwise identical.
@@ -160,6 +163,59 @@ fn disconnecting_outage_is_classified_identically_in_both_paths() {
     // batch path took (and counted) the refactorization fallback.
     assert_eq!(batch.report.update_fallbacks, 1);
     assert!(!batch.outcomes[0].result().unwrap().used_fallback);
+}
+
+/// Counts the matrix perturbations a sweep applied and reverted.
+#[derive(Default)]
+struct CountingHook(Cell<usize>);
+
+impl EpochHook for CountingHook {
+    fn outage_applied(&self, _: &OutageEvent) {
+        self.0.set(self.0.get() + 1);
+    }
+    fn outage_reverted(&self, _: &OutageEvent) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// A bad config is a typed error before any work starts, in both
+/// sweeps: an invalid boost ladder even when no outage would reach the
+/// fallback, and with one that would — before the healthy outage ahead
+/// of it is applied — and a NaN residual tolerance, which would
+/// otherwise switch the residual gate off and pass the bridge outage's
+/// boosted garbage as `Completed`.
+#[test]
+fn invalid_config_is_rejected_before_any_work() {
+    let (pg, bridge) = bridged_grid();
+    let healthy = [
+        Outage::Reweight { edge: 0, new_weight: 2.0 },
+        Outage::LoadStep { node: 2, extra_current: 0.05 },
+    ];
+    let with_bridge = [healthy[0], Outage::LineOutage { edge: bridge }];
+    let probes = [0, 4, 5];
+    let bad_growth = ContingencyConfig {
+        boost: BoostSchedule { growth: 0.5, ..Default::default() },
+        ..Default::default()
+    };
+    let nan_tol = ContingencyConfig { residual_tol: f64::NAN, ..Default::default() };
+    for (cfg, outages) in
+        [(&bad_growth, &healthy[..]), (&bad_growth, &with_bridge[..]), (&nan_tol, &with_bridge[..])]
+    {
+        let hook = CountingHook::default();
+        let batch = simulate_contingency_batch(&pg, outages, &probes, cfg, Some(&hook));
+        assert!(
+            matches!(batch, Err(SparseError::InvalidValue { .. })),
+            "batch sweep accepted a bad config: {:?}",
+            batch.map(|s| s.report)
+        );
+        assert_eq!(hook.0.get(), 0, "the batch sweep perturbed the factor before failing");
+        let naive = simulate_contingency_refactor(&pg, outages, &probes, cfg);
+        assert!(
+            matches!(naive, Err(SparseError::InvalidValue { .. })),
+            "refactor sweep accepted a bad config: {:?}",
+            naive.map(|s| s.report)
+        );
+    }
 }
 
 #[test]

@@ -23,7 +23,7 @@ use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::DirectSolver;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::CholeskyFactor;
+use tracered_sparse::{CholeskyFactor, FactorOptions};
 
 /// Serializes tests that flip the process-global tracing flag.
 static TRACING_FLAG: Mutex<()> = Mutex::new(());
@@ -79,7 +79,8 @@ fn parallel_factorization_is_bit_identical_under_tracing() {
     let n = g.num_nodes();
     let l = laplacian_with_shifts(&g, &vec![1e-3; n]);
     let (plain, traced) = plain_and_traced(|| {
-        CholeskyFactor::factorize_threads(&l, Ordering::MinDegree, 4).expect("SPD")
+        let opts = FactorOptions { threads: 4, ..Ordering::MinDegree.into() };
+        CholeskyFactor::factorize(&l, opts).expect("SPD")
     });
     assert_eq!(plain.l().colptr(), traced.l().colptr(), "factor pattern changed under tracing");
     assert_bits_eq(plain.l().values(), traced.l().values(), "Cholesky factor");
@@ -92,7 +93,7 @@ fn direct_solver_is_bit_identical_under_tracing() {
     let l = laplacian_with_shifts(&g, &vec![1e-3; n]);
     let b: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) - 6.0).collect();
     let (plain, traced) = plain_and_traced(|| {
-        let x = DirectSolver::new(&l).expect("SPD").solve(&b);
+        let x = DirectSolver::new_threads(&l, 1).expect("SPD").solve(&b);
         (x, tracered_obs::recorder().trace().has_span("chol.select"))
     });
     assert_bits_eq(&plain.0, &traced.0, "direct solution");
