@@ -34,7 +34,7 @@ fn eval(g: &Graph, cfg: &SparsifyConfig) -> (f64, f64) {
 }
 
 fn main() {
-    let (scale, _) = parse_args();
+    let (scale, _) = parse_args(std::env::args().skip(1));
     let d = ((60.0 * scale.sqrt()).round() as usize).max(10);
     let g = tri_mesh(d, d, WeightProfile::LogUniform { lo: 0.2, hi: 5.0 }, 7);
     println!("# Ablations on trimesh {d}x{d} (|V| = {}, |E| = {})", g.num_nodes(), g.num_edges());

@@ -3,7 +3,7 @@
 //! refactorize-per-outage reference (`simulate_contingency_refactor`)
 //! on synthetic power grids.
 //!
-//! Per mesh size the sweep records both paths' wall time, the
+//! Per mesh size the sweep prints both paths' wall time, the
 //! outages/second rate, the update/fallback accounting, and the
 //! speedup. `--check` asserts the subsystem's contracts: every outage
 //! classifies identically on both paths (completed solves within the
@@ -11,12 +11,10 @@
 //! strictly more outages per second than the naive reference.
 //!
 //! Usage: `cargo run --release -p tracered-bench --bin
-//! contingency_scaling -- [--mesh 16,24] [--outages 64]
-//! [--out BENCH_pr9.json] [--check]`
+//! contingency_scaling -- [--mesh 16,24] [--outages 64] [--check]`
 
 use std::time::Instant;
 
-use tracered_bench::{available_parallelism, pool_size, write_bench_json, BenchRecord};
 use tracered_powergrid::synth::{synthesize, SynthConfig};
 use tracered_powergrid::{
     simulate_contingency_batch, simulate_contingency_refactor, ContingencyConfig, ContingencySweep,
@@ -31,13 +29,11 @@ const PROBE_TOLERANCE: f64 = 1e-6;
 struct Args {
     mesh: Vec<usize>,
     outages: usize,
-    out: String,
     check: bool,
 }
 
 fn parse_args() -> Args {
-    let mut args =
-        Args { mesh: vec![16, 24], outages: 64, out: "BENCH_pr9.json".to_string(), check: false };
+    let mut args = Args { mesh: vec![16, 24], outages: 64, check: false };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -55,7 +51,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--outages requires a positive integer");
             }
-            "--out" => args.out = it.next().expect("--out requires a path"),
             "--check" => args.check = true,
             other => panic!("unknown argument '{other}'"),
         }
@@ -106,7 +101,6 @@ fn equivalence_failures(batch: &ContingencySweep, naive: &ContingencySweep) -> V
 
 fn main() {
     let args = parse_args();
-    let mut records: Vec<BenchRecord> = Vec::new();
     let mut check_failures: Vec<String> = Vec::new();
 
     for &mesh in &args.mesh {
@@ -155,35 +149,8 @@ fn main() {
                  (speedup {speedup:.2}x)"
             ));
         }
-
-        records.push(
-            BenchRecord::new()
-                .str("bench", "contingency_scaling")
-                .str("case", "synth-grid")
-                .int("mesh", mesh as i64)
-                .int("nodes", n as i64)
-                .int("edges", m as i64)
-                .int("outages", outages.len() as i64)
-                .int("applied_updates", rb.applied_updates as i64)
-                .int("update_fallbacks", rb.update_fallbacks as i64)
-                .int("refactorizations", rb.refactorizations as i64)
-                .int("rhs_only", rb.rhs_only as i64)
-                .int("completed", rb.completed as i64)
-                .int("failures", rb.failures as i64)
-                .int("naive_refactorizations", naive.report.refactorizations as i64)
-                .int("available_parallelism", available_parallelism() as i64)
-                .int("pool_size", pool_size() as i64)
-                .num("base_factor_seconds", rb.base_factor_seconds)
-                .num("batch_seconds", batch_s)
-                .num("naive_seconds", naive_s)
-                .num("batch_outages_per_sec", batch_rate)
-                .num("naive_outages_per_sec", naive_rate)
-                .num("speedup_vs_naive", speedup),
-        );
     }
 
-    write_bench_json(&args.out, &records).expect("writing the bench JSON must succeed");
-    println!("wrote {} records to {}", records.len(), args.out);
     if !check_failures.is_empty() {
         panic!("contingency checks failed: {}", check_failures.join("; "));
     }

@@ -15,7 +15,7 @@ use tracered_powergrid::transient::{probe_pair, simulate_direct, simulate_pcg, T
 use tracered_solver::precond::CholPreconditioner;
 
 fn main() {
-    let (scale, _) = parse_args();
+    let (scale, _) = parse_args(std::env::args().skip(1));
     let mesh = ((116.0 * scale.sqrt()).round() as usize).max(8);
     let pg = synthesize(&SynthConfig { mesh, seed: 32, ..Default::default() });
     let (near, far) = probe_pair(&pg);

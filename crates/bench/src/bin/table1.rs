@@ -13,7 +13,7 @@ use tracered_bench::{evaluate_sparsifier, geomean, parse_args, secs, table1_case
 use tracered_core::Method;
 
 fn main() {
-    let (scale, only) = parse_args();
+    let (scale, only) = parse_args(std::env::args().skip(1));
     println!("# Table 1: spectral graph sparsification (scale {scale})");
     println!(
         "{:<14} {:>8} {:>9} | {:>8} {:>8} {:>5} {:>8} | {:>8} {:>8} {:>5} {:>8} | {:>6} {:>6}",

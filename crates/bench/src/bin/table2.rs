@@ -62,7 +62,7 @@ fn pg_preconditioner(pg: &PowerGrid, method: Method) -> (CholPreconditioner, Dur
 }
 
 fn main() {
-    let (scale, only) = parse_args();
+    let (scale, only) = parse_args(std::env::args().skip(1));
     println!("# Table 2: power grid transient simulation (scale {scale}, 5 ns horizon)");
     println!(
         "{:<6} {:>7} | {:>8} {:>8} | {:>7} {:>8} {:>6} | {:>7} {:>8} {:>6} {:>8} | {:>5} {:>5}",

@@ -36,7 +36,7 @@ fn iterative(g: &Graph, method: Method) -> (Bisection, f64, usize) {
 }
 
 fn main() {
-    let (scale, only) = parse_args();
+    let (scale, only) = parse_args(std::env::args().skip(1));
     println!("# Table 3: approximate Fiedler vector / spectral partitioning (scale {scale})");
     println!(
         "{:<14} {:>8} | {:>8} {:>8} | {:>8} {:>6} {:>9} | {:>8} {:>8} {:>6} {:>9} | {:>5} {:>5}",

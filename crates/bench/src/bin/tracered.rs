@@ -42,7 +42,7 @@ struct Options {
     parts: usize,
 }
 
-fn parse(mut args: std::env::Args) -> Result<(String, Options), String> {
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Options), String> {
     let cmd = args.next().ok_or("missing command")?;
     let path = args.next().ok_or("missing matrix path")?;
     let mut opt = Options {
@@ -74,7 +74,10 @@ fn parse(mut args: std::env::Args) -> Result<(String, Options), String> {
             }
             "--out" => opt.out = Some(value()?),
             "--parts" => {
-                opt.parts = value()?.parse().map_err(|_| "invalid --parts".to_string())?;
+                opt.parts = match value()?.parse() {
+                    Ok(k) if k > 0 => k,
+                    _ => return Err("--parts requires a positive integer".to_string()),
+                };
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -179,9 +182,7 @@ fn cmd_partition(opt: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args();
-    let _ = args.next();
-    let (cmd, opt) = match parse(args) {
+    let (cmd, opt) = match parse(std::env::args().skip(1)) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -203,5 +204,16 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_parts_is_an_argument_error() {
+        let args = ["partition", "m.mtx", "--parts", "0"].into_iter().map(String::from);
+        assert_eq!(parse(args).err().as_deref(), Some("--parts requires a positive integer"));
     }
 }

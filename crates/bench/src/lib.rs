@@ -4,13 +4,12 @@
 //! `fig2`, `ablation`) that prints the same rows the paper reports, over
 //! synthetic analogs of its test cases. All binaries accept
 //! `--scale <f64>` (default 1.0) to grow or shrink the cases, and
-//! `--case <name>` to restrict to one case.
+//! `--case <name>` to restrict to one case. `table1 --case <name>` at a
+//! series of scales is the size sweep of one case.
 //!
 //! None of the binaries enable the resilience layer (pivot boosting,
-//! robust-solve escalation) — it defaults off everywhere — so the
-//! `--check` determinism gates double as its zero-overhead-when-unused
-//! gate: the timed hot paths must stay bit-identical to the
-//! pre-resilience code.
+//! robust-solve escalation) — it defaults off everywhere — so their
+//! timed hot paths are the plain factor-and-solve code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use tracered_core::metrics::relative_condition_number;
-use tracered_core::{sparsify, Method, Sparsifier, SparsifyConfig};
+use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{grid2d, grid3d, tri_mesh, WeightProfile};
 use tracered_graph::Graph;
 use tracered_solver::pcg::{pcg, PcgOptions};
@@ -169,18 +168,8 @@ pub struct SparsifyEval {
 /// Panics when sparsification fails (the bench cases are always
 /// connected and well-formed).
 pub fn evaluate_sparsifier(g: &Graph, method: Method) -> SparsifyEval {
-    evaluate_with_config(g, &SparsifyConfig::new(method))
-}
-
-/// [`evaluate_sparsifier`] with a caller-supplied configuration —
-/// scaling benches use this to sweep the `threads` knob.
-///
-/// # Panics
-///
-/// Panics when sparsification fails.
-pub fn evaluate_with_config(g: &Graph, cfg: &SparsifyConfig) -> SparsifyEval {
     let t0 = Instant::now();
-    let sp = sparsify(g, cfg).expect("bench cases are connected");
+    let sp = sparsify(g, &SparsifyConfig::new(method)).expect("bench cases are connected");
     let sparsify_time = t0.elapsed();
     let lg = sp.graph_laplacian(g);
     let pre = CholPreconditioner::from_matrix(&sp.laplacian(g))
@@ -200,22 +189,6 @@ pub fn evaluate_with_config(g: &Graph, cfg: &SparsifyConfig) -> SparsifyEval {
     }
 }
 
-/// Builds a sparsifier and its Cholesky preconditioner, timed.
-///
-/// # Panics
-///
-/// Panics when sparsification fails.
-pub fn build_preconditioner(
-    g: &Graph,
-    cfg: &SparsifyConfig,
-) -> (Sparsifier, CholPreconditioner, Duration) {
-    let t0 = Instant::now();
-    let sp = sparsify(g, cfg).expect("bench cases are connected");
-    let pre = CholPreconditioner::from_matrix(&sp.laplacian(g))
-        .expect("sparsifier Laplacian is SPD under the shared shift");
-    (sp, pre, t0.elapsed())
-}
-
 /// Deterministic pseudo-random right-hand side (the paper uses random
 /// RHS vectors).
 pub fn random_rhs(n: usize, seed: u64) -> Vec<f64> {
@@ -225,150 +198,16 @@ pub fn random_rhs(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|_| rng.random::<f64>() - 0.5).collect()
 }
 
-/// One machine-readable measurement row for the `BENCH_*.json` files
-/// later PRs diff against. Values are flat key → JSON scalar.
-#[derive(Debug, Clone, Default)]
-pub struct BenchRecord {
-    fields: Vec<(String, JsonValue)>,
-}
-
-/// A JSON scalar value.
-#[derive(Debug, Clone)]
-pub enum JsonValue {
-    /// A string field.
-    Str(String),
-    /// An integer field.
-    Int(i64),
-    /// A float field (serialized with full precision; non-finite → null).
-    Num(f64),
-    /// A pre-serialized JSON document embedded verbatim (used to nest an
-    /// observability snapshot inside a record). The caller is
-    /// responsible for its well-formedness.
-    Raw(String),
-}
-
-impl BenchRecord {
-    /// An empty record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a string field.
-    pub fn str(mut self, key: &str, value: impl Into<String>) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Str(value.into())));
-        self
-    }
-
-    /// Adds an integer field.
-    pub fn int(mut self, key: &str, value: i64) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Int(value)));
-        self
-    }
-
-    /// Adds a float field.
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Num(value)));
-        self
-    }
-
-    /// Adds a duration field, in seconds.
-    pub fn secs_field(self, key: &str, d: Duration) -> Self {
-        self.num(key, d.as_secs_f64())
-    }
-
-    /// Embeds an already-serialized JSON document (object or array)
-    /// verbatim under `key` — the hook the scaling benches use to nest
-    /// a [`tracered_obs`] snapshot inside their record. The value must
-    /// be well-formed JSON; it is not escaped or validated here.
-    pub fn raw_json(mut self, key: &str, json: impl Into<String>) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Raw(json.into())));
-        self
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(&json_escape(k));
-            out.push_str("\": ");
-            match v {
-                JsonValue::Str(s) => {
-                    out.push('"');
-                    out.push_str(&json_escape(s));
-                    out.push('"');
-                }
-                JsonValue::Int(n) => out.push_str(&n.to_string()),
-                JsonValue::Num(x) if x.is_finite() => out.push_str(&format!("{x:?}")),
-                JsonValue::Num(_) => out.push_str("null"),
-                JsonValue::Raw(j) => out.push_str(j),
-            }
-        }
-        out.push('}');
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes records as a JSON array (one object per line for easy
-/// diffing) and writes them to `path`.
+/// Parses `--scale <f64>` and `--case <name>`; binaries pass
+/// `std::env::args().skip(1)`.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates filesystem errors.
-pub fn write_bench_json(path: &str, records: &[BenchRecord]) -> std::io::Result<()> {
-    let mut out = String::from("[\n");
-    for (i, rec) in records.iter().enumerate() {
-        out.push_str("  ");
-        rec.write_json(&mut out);
-        if i + 1 < records.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    std::fs::write(path, out)
-}
-
-/// CPU parallelism the OS reports for this process, `1` when unknown —
-/// recorded in every bench JSON so that single-core containers (which
-/// cannot show real thread speedups) are machine-detectable when later
-/// runs diff the numbers.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
-/// Resolved size of the process-global worker pool — the thread budget
-/// parallel regions actually ran on (`TRACERED_THREADS` override or the
-/// OS-reported parallelism). Recorded next to
-/// [`available_parallelism`] in every bench JSON: the two differ
-/// exactly when the environment pinned the pool, which makes BENCH
-/// files self-describing on multi-core hardware.
-pub fn pool_size() -> usize {
-    tracered_par::global_pool_size()
-}
-
-/// Parses `--scale <f64>` and `--case <name>` from `std::env::args`.
-pub fn parse_args() -> (f64, Option<String>) {
-    let mut scale = 1.0;
+/// Panics on an unknown flag, a missing value, or a scale that is not a
+/// positive finite number.
+pub fn parse_args(mut args: impl Iterator<Item = String>) -> (f64, Option<String>) {
+    let mut scale: f64 = 1.0;
     let mut case = None;
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -383,7 +222,7 @@ pub fn parse_args() -> (f64, Option<String>) {
             other => panic!("unknown argument '{other}' (expected --scale or --case)"),
         }
     }
-    assert!(scale > 0.0, "--scale must be positive");
+    assert!(scale.is_finite() && scale > 0.0, "--scale must be a positive finite number");
     (scale, case)
 }
 
@@ -447,27 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_records_serialize_to_valid_json() {
-        let rec = BenchRecord::new()
-            .str("bench", "tree_phase_scores")
-            .str("quoted", "a\"b\\c")
-            .int("threads", 4)
-            .num("seconds", 0.125)
-            .num("bad", f64::NAN);
-        let mut s = String::new();
-        rec.write_json(&mut s);
-        assert_eq!(
-            s,
-            "{\"bench\": \"tree_phase_scores\", \"quoted\": \"a\\\"b\\\\c\", \
-             \"threads\": 4, \"seconds\": 0.125, \"bad\": null}"
-        );
-        let path = std::env::temp_dir().join("tracered_bench_json_test.json");
-        let path = path.to_str().unwrap();
-        write_bench_json(path, &[rec.clone(), rec]).unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        assert!(body.starts_with("[\n") && body.ends_with("]\n"));
-        assert_eq!(body.matches("tree_phase_scores").count(), 2);
-        std::fs::remove_file(path).ok();
+    #[should_panic(expected = "--scale must be a positive finite number")]
+    fn parse_args_rejects_infinite_scale() {
+        parse_args(["--scale", "inf"].into_iter().map(String::from));
     }
 
     #[test]

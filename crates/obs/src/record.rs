@@ -166,8 +166,8 @@ impl Recorder {
     }
 
     /// A machine-readable JSON object: per-path span aggregates plus
-    /// every globally registered instrument. This is what the bench
-    /// binaries embed in `BENCH_pr8.json`.
+    /// every globally registered instrument. perfbench writes it to
+    /// `.perfbench/` as a traced run's span tree.
     pub fn snapshot_json(&self) -> String {
         crate::export::snapshot_json(&self.trace())
     }

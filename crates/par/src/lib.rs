@@ -14,8 +14,8 @@
 //! magnitude across candidate edges); the persistent pool means entering
 //! a region costs a queue push and a few wakeups instead of spawning and
 //! joining OS threads — the difference between parallelism paying off at
-//! `n ≈ 10⁴` or only at `n ≈ 10⁶` for the PCG vector kernels (see the
-//! `spawn_overhead` microbench in `tracered-bench`).
+//! `n ≈ 10⁴` or only at `n ≈ 10⁶` for the PCG vector kernels (measured
+//! when the pool replaced per-region `std::thread::scope` spawning).
 //!
 //! Entry points: [`par_chunks_mut`] (disjoint chunks of one slice),
 //! [`par_chunks_mut_scratch`] (same, with a recycled per-worker

@@ -6,8 +6,7 @@
 //! live queue depth, and log-scale histograms for end-to-end latency and
 //! per-batch linger. The aggregator publishes through these instruments
 //! and never blocks on them; [`MetricsSnapshot`] is the
-//! consistent-enough view handed to callers and to the
-//! `service_scaling` benchmark.
+//! consistent-enough view handed to callers.
 
 use tracered_obs::{Counter, Gauge, Histogram, HistogramSummary, Watermark};
 
@@ -122,9 +121,8 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Mean executed batch width — the aggregation payoff the
-    /// `service_scaling` benchmark sweeps (`> 1` means requests actually
-    /// shared kernels).
+    /// Mean executed batch width — the aggregation payoff (`> 1` means
+    /// requests actually shared kernels).
     pub fn mean_batch_width(&self) -> f64 {
         if self.batches == 0 {
             0.0

@@ -11,7 +11,7 @@
 #![allow(clippy::unwrap_used)]
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tracered_graph::gen::{grid2d, WeightProfile};
 use tracered_graph::laplacian::laplacian_with_shifts;
@@ -156,6 +156,52 @@ fn mixed_compatibility_queue_splits_into_multiple_batches() {
     assert_eq!(m.batches, 3, "three compatibility classes → three batches");
     assert_eq!(m.batched_requests, 9);
     assert!((m.mean_batch_width() - 3.0).abs() < 1e-12);
+}
+
+#[test]
+fn live_latency_histogram_sits_between_linger_and_client_latency() {
+    // One request at a time, so each is the head of its own width-1
+    // batch. The service stamps enqueue and reply inside the client's
+    // call, and the batch's linger (the full `max_linger` wait) starts
+    // after that enqueue and ends before that reply. Per request,
+    // linger <= live latency <= client latency, so the means and order
+    // statistics nest; the histogram quantiles move each by at most one
+    // bucket ratio.
+    let a = system(12, 0.05);
+    let n = a.ncols();
+    let svc = start_published(8, &a);
+    let client = svc.client();
+    let mut client_s: Vec<f64> = (0..16u64)
+        .map(|j| {
+            let t0 = Instant::now();
+            client.solve(ServiceRequest::pcg(rhs(n, j), 1e-8)).unwrap().into_solve().unwrap();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    client_s.sort_by(f64::total_cmp);
+    let m = svc.metrics();
+    let (latency, linger) = (m.latency, m.linger);
+    assert_eq!(latency.count, 16);
+    assert_eq!(linger.count, 16, "every request is its own batch");
+    let client_mean = client_s.iter().sum::<f64>() / client_s.len() as f64;
+    assert!(
+        linger.mean_s <= latency.mean_s && latency.mean_s <= client_mean,
+        "mean latency {} outside [linger {}, client {client_mean}]",
+        latency.mean_s,
+        linger.mean_s
+    );
+    let client_max = client_s[client_s.len() - 1];
+    assert!(latency.max_s <= client_max, "max latency {} > client {client_max}", latency.max_s);
+    let ratio = tracered_obs::Histogram::bucket_ratio();
+    let quantiles = [(0.50, latency.p50_s, linger.p50_s), (0.99, latency.p99_s, linger.p99_s)];
+    for (q, live, lo) in quantiles {
+        // Nearest rank, as the histogram computes it.
+        let hi = client_s[(q * client_s.len() as f64).ceil() as usize - 1];
+        assert!(
+            lo / ratio <= live && live <= hi * ratio,
+            "p{q} latency {live} outside [linger {lo}, client {hi}] by more than a bucket"
+        );
+    }
 }
 
 #[test]

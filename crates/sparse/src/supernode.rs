@@ -3,9 +3,9 @@
 //! The scalar up-looking kernel in [`crate::chol`] touches the factor one
 //! row at a time through indexed gather/scatter loops — fine for very
 //! sparse columns, but the dense top-of-tree block that dominates grid
-//! Laplacians (BENCH_pr8.json measured the serial tail at 68% of numeric
-//! time) pays the full indirection cost on what is effectively dense
-//! arithmetic. This module implements the classic supernodal alternative:
+//! Laplacians (the serial tail measured 68% of numeric time when this
+//! kernel was added) pays the full indirection cost on what is
+//! effectively dense arithmetic. This module implements the classic supernodal alternative:
 //!
 //! 1. **Detection** ([`SupernodePartition`]): adjacent factor columns with
 //!    identical below-diagonal structure (the *fundamental supernode*
@@ -38,12 +38,10 @@ use crate::csc::CscMatrix;
 use crate::error::SparseError;
 use crate::etree;
 
-/// Which numeric kernel [`crate::CholeskyFactor`]'s `factorize*` entry
-/// points run.
-///
-/// Deliberately **not** `#[non_exhaustive]`: downstream config
-/// fingerprints match on this exhaustively so that adding a variant is a
-/// compile error at every tag site instead of a silent cache collision.
+/// Which numeric kernel
+/// [`CholeskyFactor::factorize_with_perm_kernel`](crate::CholeskyFactor::factorize_with_perm_kernel)
+/// runs. [`CholeskyFactor::factorize`](crate::CholeskyFactor::factorize)
+/// always runs `Scalar`, and no configuration selects the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelVariant {
     /// The scalar up-looking row kernel — the historical default.

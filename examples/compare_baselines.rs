@@ -4,7 +4,7 @@
 //! core claim in miniature.
 //!
 //! ```sh
-//! cargo run --release -p tracered-bench --example compare_baselines
+//! cargo run --release -p tracered-integration --example compare_baselines
 //! ```
 
 use tracered_core::metrics::{relative_condition_number, trace_proxy_hutchinson};

@@ -3,7 +3,7 @@
 //! matrices (`ecology2.mtx`, `thermal2.mtx`, …).
 //!
 //! ```sh
-//! cargo run --release -p tracered-bench --example custom_matrix -- path/to/matrix.mtx
+//! cargo run --release -p tracered-integration --example custom_matrix -- path/to/matrix.mtx
 //! ```
 //!
 //! Without an argument, writes a small demo matrix to a temp file first

@@ -2,7 +2,7 @@
 //! vector computation (paper §4.3).
 //!
 //! ```sh
-//! cargo run --release -p tracered-bench --example graph_partitioning
+//! cargo run --release -p tracered-integration --example graph_partitioning
 //! ```
 
 use std::time::Instant;

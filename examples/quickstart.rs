@@ -2,7 +2,7 @@
 //! preconditioner.
 //!
 //! ```sh
-//! cargo run --release -p tracered-bench --example quickstart
+//! cargo run --release -p tracered-integration --example quickstart
 //! ```
 
 use tracered_core::metrics::relative_condition_number;

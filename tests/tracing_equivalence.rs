@@ -23,7 +23,7 @@ use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::DirectSolver;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, FactorOptions};
+use tracered_sparse::{CholeskyFactor, FactorOptions, KernelVariant};
 
 /// Serializes tests that flip the process-global tracing flag.
 static TRACING_FLAG: Mutex<()> = Mutex::new(());
@@ -78,12 +78,23 @@ fn parallel_factorization_is_bit_identical_under_tracing() {
     let g = grid2d(40, 40, WeightProfile::Unit, 3);
     let n = g.num_nodes();
     let l = laplacian_with_shifts(&g, &vec![1e-3; n]);
-    let (plain, traced) = plain_and_traced(|| {
+    let perm = Ordering::MinDegree.compute(&l).expect("valid ordering");
+    let scalar = plain_and_traced(|| {
         let opts = FactorOptions { threads: 4, ..Ordering::MinDegree.into() };
         CholeskyFactor::factorize(&l, opts).expect("SPD")
     });
-    assert_eq!(plain.l().colptr(), traced.l().colptr(), "factor pattern changed under tracing");
-    assert_bits_eq(plain.l().values(), traced.l().values(), "Cholesky factor");
+    let supernodal = plain_and_traced(|| {
+        CholeskyFactor::factorize_with_perm_kernel(&l, perm.clone(), KernelVariant::Supernodal, 4)
+            .expect("SPD")
+    });
+    for (kernel, (plain, traced)) in [("scalar", scalar), ("supernodal", supernodal)] {
+        assert_eq!(
+            plain.l().colptr(),
+            traced.l().colptr(),
+            "{kernel} factor pattern changed under tracing"
+        );
+        assert_bits_eq(plain.l().values(), traced.l().values(), &format!("{kernel} factor"));
+    }
 }
 
 #[test]
