@@ -35,9 +35,8 @@ fn usage() -> ExitCode {
 
 struct Options {
     path: String,
-    method: Method,
-    fraction: f64,
-    iterations: Option<usize>,
+    /// The validated sparsifier configuration, without the grounding.
+    cfg: SparsifyConfig,
     out: Option<String>,
     parts: usize,
 }
@@ -45,19 +44,13 @@ struct Options {
 fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Options), String> {
     let cmd = args.next().ok_or("missing command")?;
     let path = args.next().ok_or("missing matrix path")?;
-    let mut opt = Options {
-        path,
-        method: Method::TraceReduction,
-        fraction: 0.10,
-        iterations: None,
-        out: None,
-        parts: 2,
-    };
+    let (mut method, mut fraction, mut iterations) = (Method::TraceReduction, None, None);
+    let (mut out, mut parts) = (None, 2);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
             "--method" => {
-                opt.method = match value()?.as_str() {
+                method = match value()?.as_str() {
                     "tr" | "trace" => Method::TraceReduction,
                     "grass" => Method::Grass,
                     "er" => Method::EffectiveResistance,
@@ -66,15 +59,15 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Options), St
                 };
             }
             "--fraction" => {
-                opt.fraction = value()?.parse().map_err(|_| "invalid --fraction".to_string())?;
+                fraction = Some(value()?.parse().map_err(|_| "invalid --fraction".to_string())?);
             }
             "--iterations" => {
-                opt.iterations =
+                iterations =
                     Some(value()?.parse().map_err(|_| "invalid --iterations".to_string())?);
             }
-            "--out" => opt.out = Some(value()?),
+            "--out" => out = Some(value()?),
             "--parts" => {
-                opt.parts = match value()?.parse() {
+                parts = match value()?.parse() {
                     Ok(k) if k > 0 => k,
                     _ => return Err("--parts requires a positive integer".to_string()),
                 };
@@ -82,7 +75,15 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Options), St
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    Ok((cmd, opt))
+    let mut cfg = SparsifyConfig::new(method);
+    if let Some(f) = fraction {
+        cfg = cfg.edge_fraction(f);
+    }
+    if let Some(it) = iterations {
+        cfg = cfg.iterations(it);
+    }
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok((cmd, Options { path, cfg, out, parts }))
 }
 
 fn load(path: &str) -> Result<MmGraph, String> {
@@ -99,12 +100,7 @@ fn grounding(mm: &MmGraph) -> Vec<f64> {
 }
 
 fn build(g: &Graph, shifts: Vec<f64>, opt: &Options) -> Result<tracered_core::Sparsifier, String> {
-    let mut cfg = SparsifyConfig::new(opt.method)
-        .edge_fraction(opt.fraction)
-        .shift(ShiftPolicy::PerNode(shifts));
-    if let Some(it) = opt.iterations {
-        cfg = cfg.iterations(it);
-    }
+    let cfg = opt.cfg.clone().shift(ShiftPolicy::PerNode(shifts));
     sparsify(g, &cfg).map_err(|e| format!("sparsification failed: {e}"))
 }
 
@@ -161,7 +157,7 @@ fn cmd_kappa(opt: &Options) -> Result<(), String> {
     let n = mm.graph.num_nodes();
     let b: Vec<f64> = (0..n).map(|i| ((i % 31) as f64) - 15.0).collect();
     let sol = pcg(&lg, &b, &pre, &PcgOptions::with_tolerance(1e-6));
-    println!("method      : {:?}", opt.method);
+    println!("method      : {:?}", opt.cfg.method());
     println!("kappa       : {kappa:.2}");
     println!("pcg (1e-6)  : {} iterations, converged = {}", sol.iterations, sol.converged);
     println!("factor nnz  : {}", pre.factor().nnz());
@@ -211,9 +207,25 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn parse_error(args: &[&str]) -> Option<String> {
+        parse(args.iter().map(|s| s.to_string())).err()
+    }
+
     #[test]
     fn zero_parts_is_an_argument_error() {
-        let args = ["partition", "m.mtx", "--parts", "0"].into_iter().map(String::from);
-        assert_eq!(parse(args).err().as_deref(), Some("--parts requires a positive integer"));
+        let err = parse_error(&["partition", "m.mtx", "--parts", "0"]);
+        assert_eq!(err.as_deref(), Some("--parts requires a positive integer"));
+    }
+
+    #[test]
+    fn nan_fraction_is_an_argument_error() {
+        let err = parse_error(&["sparsify", "m.mtx", "--fraction", "nan"]).unwrap();
+        assert!(err.contains("edge_fraction NaN must be finite"), "{err}");
+    }
+
+    #[test]
+    fn zero_iterations_is_an_argument_error() {
+        let err = parse_error(&["sparsify", "m.mtx", "--iterations", "0", "--method", "er"]);
+        assert_eq!(err.as_deref(), Some("invalid configuration: iterations must be at least 1"));
     }
 }

@@ -335,124 +335,82 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
 
         // --- Score candidates against the current subgraph. ---
         let t_score = Timer::start("sparsify.score");
-        let scores: Vec<f64> = if iter_idx == 0 {
-            match cfg.method() {
-                Method::TraceReduction => {
-                    let pairs: Vec<(usize, usize)> =
-                        candidates.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
-                    let rs = tree_resistances_threads(&tree, &pairs, threads);
-                    tree_phase_scores_threads(g, &tree, &candidates, &rs, cfg.beta_value(), threads)
-                }
-                Method::EffectiveResistance => {
-                    let pairs: Vec<(usize, usize)> =
-                        candidates.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
-                    let rs = tree_resistances_threads(&tree, &pairs, threads);
-                    candidates
-                        .iter()
-                        .zip(rs.iter())
-                        .map(|(&id, &r)| g.edge(id).weight * r)
-                        .collect()
-                }
-                Method::Grass => {
-                    let t_factor = Timer::start("sparsify.factor");
-                    let ls = subgraph_laplacian(g, &selected, &shifts);
-                    let factor = factorize_resilient(&ls, factor_opts, &mut stats)?;
-                    stats.factor_time = t_factor.stop();
-                    grass_scores_threads(
-                        g,
-                        &lg,
-                        &factor,
-                        &candidates,
-                        cfg.grass_power_steps_value(),
-                        cfg.grass_num_vectors_value(),
-                        &mut rng,
-                        threads,
-                    )
-                }
-                Method::JlResistance => {
-                    // Spielman–Srivastava: resistances in the *full* graph,
-                    // which costs a full-graph factorization — exactly the
-                    // expense the paper's introduction calls out.
-                    let t_factor = Timer::start("sparsify.factor");
-                    let full_factor = factorize_resilient(&lg, factor_opts, &mut stats)?;
-                    stats.factor_time = t_factor.stop();
-                    crate::jl::jl_scores(
-                        g,
-                        &full_factor,
-                        &candidates,
-                        cfg.jl_probes_value(),
-                        cfg.seed_value(),
-                    )
-                }
+        // Refactorize the current subgraph only for the methods that
+        // score against it; the tree-resistance rankings never read it.
+        let subgraph_factor = |stats: &mut IterationStats| {
+            let t_factor = Timer::start("sparsify.factor");
+            let ls = subgraph_laplacian(g, &selected, &shifts);
+            let factor = factorize_resilient(&ls, factor_opts, stats);
+            stats.factor_time = t_factor.stop();
+            factor
+        };
+        let tree_resistances = || {
+            let pairs: Vec<(usize, usize)> =
+                candidates.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
+            tree_resistances_threads(&tree, &pairs, threads)
+        };
+        let scores: Vec<f64> = match cfg.method() {
+            Method::TraceReduction if iter_idx == 0 => tree_phase_scores_threads(
+                g,
+                &tree,
+                &candidates,
+                &tree_resistances(),
+                cfg.beta_value(),
+                threads,
+            ),
+            Method::TraceReduction => {
+                let factor = subgraph_factor(&mut stats)?;
+                let zinv = ApproxInverse::build(
+                    factor.l(),
+                    SpaiOptions::with_threshold(cfg.spai_threshold_value()),
+                )?;
+                stats.spai_nnz = zinv.nnz();
+                let subgraph = g.edge_subgraph(&selected);
+                subgraph_phase_scores_threads(
+                    g,
+                    &subgraph,
+                    &factor,
+                    &zinv,
+                    &candidates,
+                    cfg.beta_value(),
+                    threads,
+                )
             }
-        } else {
-            // Refactorize the current subgraph only for the methods that
-            // score against it; the single-pass rankings below never read
-            // the subgraph factor.
-            let subgraph_factor = |stats: &mut IterationStats| {
+            // Single-pass method; if the user forces more iterations,
+            // keep re-ranking by tree resistance.
+            Method::EffectiveResistance => candidates
+                .iter()
+                .zip(tree_resistances())
+                .map(|(&id, r)| g.edge(id).weight * r)
+                .collect(),
+            Method::Grass => {
+                let factor = subgraph_factor(&mut stats)?;
+                grass_scores_threads(
+                    g,
+                    &lg,
+                    &factor,
+                    &candidates,
+                    cfg.grass_power_steps_value(),
+                    cfg.grass_num_vectors_value(),
+                    &mut rng,
+                    threads,
+                )
+            }
+            Method::JlResistance => {
+                // Spielman–Srivastava: resistances in the *full* graph,
+                // which costs a full-graph factorization — exactly the
+                // expense the paper's introduction calls out. Single-pass
+                // method: later iterations keep the full-graph ranking.
                 let t_factor = Timer::start("sparsify.factor");
-                let ls = subgraph_laplacian(g, &selected, &shifts);
-                let factor = factorize_resilient(&ls, factor_opts, stats);
+                let full_factor = factorize_resilient(&lg, factor_opts, &mut stats)?;
                 stats.factor_time = t_factor.stop();
-                factor
-            };
-            match cfg.method() {
-                Method::TraceReduction => {
-                    let factor = subgraph_factor(&mut stats)?;
-                    let zinv = ApproxInverse::build(
-                        factor.l(),
-                        SpaiOptions::with_threshold(cfg.spai_threshold_value()),
-                    )?;
-                    stats.spai_nnz = zinv.nnz();
-                    let subgraph = g.edge_subgraph(&selected);
-                    subgraph_phase_scores_threads(
-                        g,
-                        &subgraph,
-                        &factor,
-                        &zinv,
-                        &candidates,
-                        cfg.beta_value(),
-                        threads,
-                    )
-                }
-                Method::Grass => {
-                    let factor = subgraph_factor(&mut stats)?;
-                    grass_scores_threads(
-                        g,
-                        &lg,
-                        &factor,
-                        &candidates,
-                        cfg.grass_power_steps_value(),
-                        cfg.grass_num_vectors_value(),
-                        &mut rng,
-                        threads,
-                    )
-                }
-                Method::EffectiveResistance => {
-                    // Single-pass method; if the user forces more
-                    // iterations, keep re-ranking by tree resistance.
-                    let pairs: Vec<(usize, usize)> =
-                        candidates.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
-                    let rs = tree_resistances_threads(&tree, &pairs, threads);
-                    candidates
-                        .iter()
-                        .zip(rs.iter())
-                        .map(|(&id, &r)| g.edge(id).weight * r)
-                        .collect()
-                }
-                Method::JlResistance => {
-                    // Single-pass method: keep the full-graph ranking.
-                    let t_factor = Timer::start("sparsify.factor");
-                    let full_factor = factorize_resilient(&lg, factor_opts, &mut stats)?;
-                    stats.factor_time = t_factor.stop();
-                    crate::jl::jl_scores(
-                        g,
-                        &full_factor,
-                        &candidates,
-                        cfg.jl_probes_value(),
-                        cfg.seed_value(),
-                    )
-                }
+                crate::jl::jl_scores(
+                    g,
+                    &full_factor,
+                    &candidates,
+                    cfg.jl_probes_value(),
+                    cfg.seed_value(),
+                )
             }
         };
         stats.score_time = t_score.stop();

@@ -14,6 +14,16 @@ use rand::{Rng, SeedableRng};
 
 use crate::graph::Graph;
 
+/// Node count `Π dims` and edge capacity `per_node · Π dims` of a
+/// generator's lattice; panics, naming the generator, if either
+/// overflows `usize`.
+fn lattice_size(generator: &str, dims: &[usize], per_node: usize) -> (usize, usize) {
+    dims.iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .and_then(|nodes| Some((nodes, nodes.checked_mul(per_node)?)))
+        .unwrap_or_else(|| panic!("{generator}: a {dims:?} lattice overflows usize"))
+}
+
 /// Distribution of edge weights used by the generators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -56,12 +66,14 @@ impl WeightProfile {
 ///
 /// # Panics
 ///
-/// Panics if `rows == 0 || cols == 0`.
+/// Panics if `rows == 0 || cols == 0`, or if the node or edge count
+/// overflows `usize`.
 pub fn grid2d(rows: usize, cols: usize, profile: WeightProfile, seed: u64) -> Graph {
     assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let id = |r: usize, c: usize| r * cols + c;
-    let mut edges = Vec::with_capacity(2 * rows * cols);
+    let (nodes, capacity) = lattice_size("grid2d", &[rows, cols], 2);
+    let mut edges = Vec::with_capacity(capacity);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
@@ -72,7 +84,7 @@ pub fn grid2d(rows: usize, cols: usize, profile: WeightProfile, seed: u64) -> Gr
             }
         }
     }
-    Graph::from_edges(rows * cols, &edges).expect("generator produces valid edges")
+    Graph::from_edges(nodes, &edges).expect("generator produces valid edges")
 }
 
 /// 3-D grid graph (7-point stencil), `nx × ny × nz` nodes.
@@ -81,12 +93,14 @@ pub fn grid2d(rows: usize, cols: usize, profile: WeightProfile, seed: u64) -> Gr
 ///
 /// # Panics
 ///
-/// Panics if any dimension is zero.
+/// Panics if any dimension is zero, or if the node or edge count
+/// overflows `usize`.
 pub fn grid3d(nx: usize, ny: usize, nz: usize, profile: WeightProfile, seed: u64) -> Graph {
     assert!(nx > 0 && ny > 0 && nz > 0, "grid dimensions must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let id = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-    let mut edges = Vec::with_capacity(3 * nx * ny * nz);
+    let (nodes, capacity) = lattice_size("grid3d", &[nx, ny, nz], 3);
+    let mut edges = Vec::with_capacity(capacity);
     for z in 0..nz {
         for y in 0..ny {
             for x in 0..nx {
@@ -102,7 +116,7 @@ pub fn grid3d(nx: usize, ny: usize, nz: usize, profile: WeightProfile, seed: u64
             }
         }
     }
-    Graph::from_edges(nx * ny * nz, &edges).expect("generator produces valid edges")
+    Graph::from_edges(nodes, &edges).expect("generator produces valid edges")
 }
 
 /// Triangulated 2-D mesh (grid plus one diagonal per cell, 6-point interior
@@ -111,12 +125,14 @@ pub fn grid3d(nx: usize, ny: usize, nz: usize, profile: WeightProfile, seed: u64
 ///
 /// # Panics
 ///
-/// Panics if `rows == 0 || cols == 0`.
+/// Panics if `rows == 0 || cols == 0`, or if the node or edge count
+/// overflows `usize`.
 pub fn tri_mesh(rows: usize, cols: usize, profile: WeightProfile, seed: u64) -> Graph {
     assert!(rows > 0 && cols > 0, "mesh dimensions must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let id = |r: usize, c: usize| r * cols + c;
-    let mut edges = Vec::with_capacity(3 * rows * cols);
+    let (nodes, capacity) = lattice_size("tri_mesh", &[rows, cols], 3);
+    let mut edges = Vec::with_capacity(capacity);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
@@ -130,7 +146,7 @@ pub fn tri_mesh(rows: usize, cols: usize, profile: WeightProfile, seed: u64) -> 
             }
         }
     }
-    Graph::from_edges(rows * cols, &edges).expect("generator produces valid edges")
+    Graph::from_edges(nodes, &edges).expect("generator produces valid edges")
 }
 
 /// Random connected graph: a random spanning tree plus `extra_edges`
@@ -193,6 +209,24 @@ mod tests {
         // An interior node of a triangulated grid has degree 6.
         assert_eq!(g.degree(5), 6);
         assert!(g.is_connected());
+    }
+
+    #[test]
+    #[should_panic(expected = "grid2d: a [8589934592, 8589934592] lattice overflows usize")]
+    fn grid2d_rejects_an_overflowing_size() {
+        grid2d(1 << 33, 1 << 33, WeightProfile::Unit, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid3d: a [4194304, 4194304, 4194304] lattice overflows usize")]
+    fn grid3d_rejects_an_overflowing_size() {
+        grid3d(1 << 22, 1 << 22, 1 << 22, WeightProfile::Unit, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tri_mesh: a [8589934592, 8589934592] lattice overflows usize")]
+    fn tri_mesh_rejects_an_overflowing_size() {
+        tri_mesh(1 << 33, 1 << 33, WeightProfile::Unit, 0);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! - [`transient::simulate_direct`] — fixed time step (limited by the
 //!   smallest breakpoint distance of the sources), one factorization of
-//!   `G + C/h`, substitutions per step;
+//!   `G + C/h`, substitutions per step. Its variable-step sibling
+//!   [`transient::simulate_direct_varied`] runs the same stepping loop
+//!   over the breakpoint grid and refactorizes whenever `h` changes;
 //! - [`transient::simulate_pcg`] — breakpoint-driven *variable* steps,
 //!   PCG per step, preconditioned once from the DC-analysis sparsifier.
 //!
@@ -55,7 +57,6 @@ pub use contingency::{
 };
 pub use netlist::{CurrentSource, PowerGrid};
 pub use transient::{
-    simulate_direct_batch_outcomes, simulate_pcg_batch_outcomes, ScenarioFailure,
-    ScenarioFailureKind, ScenarioOutcome,
+    simulate_pcg_batch_outcomes, ScenarioFailure, ScenarioFailureKind, ScenarioOutcome,
 };
 pub use waveform::PulseWaveform;

@@ -6,7 +6,9 @@
 //!   substitutions. The step `h` must resolve the smallest breakpoint
 //!   spacing of the current sources (the paper uses 10 ps), so this path
 //!   takes many steps — its strength is the ultra-cheap per-step cost,
-//!   its weakness the big factorization and memory footprint.
+//!   its weakness the big factorization and memory footprint. The
+//!   variable-step direct run shares its one stepping loop and pays a
+//!   refactorization at every step-size change.
 //! - **Iterative, variable step**: place time points only at source
 //!   breakpoints (capped at `max_step`, paper: 200 ps) and solve each
 //!   step with PCG, preconditioned once by the Cholesky factor of the
@@ -207,9 +209,10 @@ pub fn dc_operating_point(pg: &PowerGrid) -> Result<Vec<f64>, SparseError> {
     Ok(solver.solve(&pg.dc_rhs()))
 }
 
-/// [`dc_operating_points_batch`] with the factorization of `G` split
-/// across pool workers — the engines route their initial-condition
-/// solves through this with [`TransientConfig::factor_threads`].
+/// Solves the DC operating points of a whole scenario ensemble with one
+/// factorization of `G`, split across up to `threads` pool workers, and
+/// one blocked multi-column substitution. The engines take their initial
+/// conditions from here with [`TransientConfig::factor_threads`].
 fn dc_points_batch_threads(
     pg: &PowerGrid,
     scenarios: &[SourceScenario],
@@ -223,23 +226,6 @@ fn dc_points_batch_threads(
         col.copy_from_slice(&pg.dc_rhs_scaled(sc.scales()));
     }
     Ok(solver.factor().solve_multi(&b))
-}
-
-/// Solves the DC operating points of a whole scenario ensemble with one
-/// factorization of `G` and one blocked multi-column substitution.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotPositiveDefinite`] if the grid has no pads.
-///
-/// # Panics
-///
-/// Panics if a scenario's scale length disagrees with the source count.
-pub fn dc_operating_points_batch(
-    pg: &PowerGrid,
-    scenarios: &[SourceScenario],
-) -> Result<MultiVec, SparseError> {
-    dc_points_batch_threads(pg, scenarios, 1)
 }
 
 /// Builds the step system matrix for a scheme:
@@ -332,93 +318,34 @@ pub fn simulate_direct(
 /// # Errors
 ///
 /// Returns [`SparseError::NotPositiveDefinite`] when `G + C/h` cannot be
-/// factorized (floating grid).
+/// factorized (floating grid), and [`SparseError::InvalidValue`] — naming
+/// the scenario and the reason ([`ScenarioFailure`]) — for the first
+/// scenario whose scale vector disagrees with the source count or holds
+/// a non-finite entry. Scales are checked before any factorization.
 ///
 /// # Panics
 ///
-/// Panics if a probe node is out of bounds, `scenarios` is empty, or a
-/// scenario's scale length disagrees with the source count.
+/// Panics if a probe node is out of bounds or `scenarios` is empty.
 pub fn simulate_direct_batch(
     pg: &PowerGrid,
     cfg: &TransientConfig,
     probe_nodes: &[usize],
     scenarios: &[SourceScenario],
 ) -> Result<Vec<TransientResult>, SparseError> {
-    let n = pg.num_nodes();
-    let k = scenarios.len();
-    assert!(probe_nodes.iter().all(|&p| p < n), "probe nodes must be in bounds");
-    assert!(k > 0, "at least one scenario is required");
-    let mut span = tracered_obs::span!("transient.run", { n: n, scenarios: k });
     let h = cfg.fixed_step.unwrap_or_else(|| {
         pg.sources().iter().map(|s| s.waveform.min_breakpoint_gap()).fold(cfg.max_step, f64::min)
     });
-    let t_factor = Instant::now();
-    let a = system_matrix(pg, h, cfg.scheme);
-    let solver = DirectSolver::new_threads(&a, cfg.factor_threads.max(1))?;
-    let factor_time = t_factor.elapsed();
-    let g_matrix = pg.conductance_shared();
-
-    let mut v = dc_points_batch_threads(pg, scenarios, cfg.factor_threads.max(1))?;
-    let mut rhs = MultiVec::zeros(n, k);
-    let mut vnext = MultiVec::zeros(n, k);
-    let mut gv = vec![0.0; n];
-    let mut times = vec![0.0];
-    let mut probes: Vec<Vec<Vec<f64>>> = scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, _)| probe_nodes.iter().map(|&p| vec![v.col(s)[p]]).collect())
-        .collect();
-    let t_solve = Instant::now();
-    let mut steps = 0usize;
+    // Every step carries the configured `h` itself (the last one too):
+    // `t₁ − t₀` would round differently.
     let mut t = 0.0;
-    while t < cfg.t_end - 1e-18 {
-        let _step = tracered_obs::span!("transient.step", { step: steps, width: k });
-        let t_next = (t + h).min(cfg.t_end);
-        for (s, sc) in scenarios.iter().enumerate() {
-            step_rhs(
-                pg,
-                cfg.scheme,
-                t,
-                t_next,
-                h,
-                v.col(s),
-                sc.scales(),
-                &g_matrix,
-                &mut gv,
-                rhs.col_mut(s),
-            );
-        }
-        solver.factor().solve_multi_into(&rhs, &mut vnext);
-        std::mem::swap(&mut v, &mut vnext);
-        t = t_next;
-        steps += 1;
-        times.push(t);
-        for (s, scenario_probes) in probes.iter_mut().enumerate() {
-            for (trace, &p) in scenario_probes.iter_mut().zip(probe_nodes.iter()) {
-                trace.push(v.col(s)[p]);
-            }
-        }
-    }
-    let solve_time = t_solve.elapsed() / k as u32;
-    if let Some(g) = span.as_mut() {
-        g.arg("steps", steps as f64);
-    }
-    Ok(probes
-        .into_iter()
-        .map(|scenario_probes| TransientResult {
-            times: times.clone(),
-            probes: scenario_probes,
-            stats: TransientStats {
-                steps,
-                factor_time,
-                solve_time,
-                total_pcg_iterations: 0,
-                avg_pcg_iterations: 0.0,
-                memory_bytes: solver.memory_bytes(),
-                factorizations: 1,
-            },
+    let grid = std::iter::from_fn(|| {
+        (t < cfg.t_end - 1e-18).then(|| {
+            let t0 = t;
+            t = (t + h).min(cfg.t_end);
+            (t0, t, h)
         })
-        .collect())
+    });
+    direct_stepping(pg, cfg, probe_nodes, scenarios, grid)
 }
 
 /// Variable-step transient with a **direct** solver: the configuration
@@ -441,64 +368,114 @@ pub fn simulate_direct_varied(
     cfg: &TransientConfig,
     probe_nodes: &[usize],
 ) -> Result<TransientResult, SparseError> {
-    let n = pg.num_nodes();
-    assert!(probe_nodes.iter().all(|&p| p < n), "probe nodes must be in bounds");
     let waveforms: Vec<_> = pg.sources().iter().map(|s| s.waveform).collect();
     let grid = merged_time_grid(&waveforms, cfg.t_end, cfg.max_step);
-    let g_matrix = pg.conductance_shared();
+    let steps = grid.windows(2).map(|w| (w[0], w[1], w[1] - w[0]));
+    let mut out = direct_stepping(pg, cfg, probe_nodes, &[SourceScenario::nominal()], steps)?;
+    Ok(out.pop().expect("batch of one yields one result"))
+}
 
-    let mut v = dc_operating_point(pg)?;
-    let mut rhs = vec![0.0; n];
+/// The direct stepping loop behind [`simulate_direct_batch`] and
+/// [`simulate_direct_varied`]: advances every scenario from its DC
+/// operating point over the `(t₀, t₁, h)` steps, one blocked
+/// substitution per step. The factor of the step matrix is cached and
+/// rebuilt only when `h` moves by more than `1e-12·h`, so a fixed grid
+/// factorizes once and a breakpoint grid once per step-size change.
+/// `factor_time` sums the step-matrix assemblies and factorizations,
+/// `memory_bytes` is the largest factor, and `solve_time` is the rest of
+/// the stepping time divided by the scenario count.
+fn direct_stepping(
+    pg: &PowerGrid,
+    cfg: &TransientConfig,
+    probe_nodes: &[usize],
+    scenarios: &[SourceScenario],
+    grid: impl IntoIterator<Item = (f64, f64, f64)>,
+) -> Result<Vec<TransientResult>, SparseError> {
+    let n = pg.num_nodes();
+    let k = scenarios.len();
+    assert!(probe_nodes.iter().all(|&p| p < n), "probe nodes must be in bounds");
+    assert!(k > 0, "at least one scenario is required");
+    for (s, sc) in scenarios.iter().enumerate() {
+        if let Some(kind) = validate_scenario(sc, pg.sources().len()) {
+            let fail = ScenarioFailure { scenario: s, step: 0, kind };
+            return Err(SparseError::InvalidValue { what: fail.to_string() });
+        }
+    }
+    let mut span = tracered_obs::span!("transient.run", { n: n, scenarios: k });
+    let threads = cfg.factor_threads.max(1);
+    let g_matrix = pg.conductance_shared();
+    let mut v = dc_points_batch_threads(pg, scenarios, threads)?;
+    let mut rhs = MultiVec::zeros(n, k);
+    let mut vnext = MultiVec::zeros(n, k);
     let mut gv = vec![0.0; n];
-    let mut vnext = vec![0.0; n];
-    let mut times = vec![grid[0]];
-    let mut probes: Vec<Vec<f64>> = probe_nodes.iter().map(|&p| vec![v[p]]).collect();
+    let mut times = vec![0.0];
+    let mut probes: Vec<Vec<Vec<f64>>> =
+        (0..k).map(|s| probe_nodes.iter().map(|&p| vec![v.col(s)[p]]).collect()).collect();
     let mut factor_time = Duration::ZERO;
     let mut factorizations = 0usize;
     let mut memory = 0usize;
     let mut cached: Option<(f64, DirectSolver)> = None;
     let t_solve = Instant::now();
     let mut steps = 0usize;
-    for w in grid.windows(2) {
-        let (t0, t1) = (w[0], w[1]);
-        let h = t1 - t0;
+    for (t0, t1, h) in grid {
         let stale = match &cached {
             Some((hc, _)) => (hc - h).abs() > 1e-12 * h,
             None => true,
         };
         if stale {
             let tf = Instant::now();
-            let a = system_matrix(pg, h, cfg.scheme);
-            let solver = DirectSolver::new_threads(&a, cfg.factor_threads.max(1))?;
+            let solver = DirectSolver::new_threads(&system_matrix(pg, h, cfg.scheme), threads)?;
             factor_time += tf.elapsed();
             factorizations += 1;
             memory = memory.max(solver.memory_bytes());
             cached = Some((h, solver));
         }
-        let solver = &cached.as_ref().expect("just populated").1;
-        step_rhs(pg, cfg.scheme, t0, t1, h, &v, None, &g_matrix, &mut gv, &mut rhs);
-        solver.solve_into(&rhs, &mut vnext);
+        let solver = &cached.as_ref().expect("the step factor was just built").1;
+        let _step = tracered_obs::span!("transient.step", { step: steps, width: k });
+        for (s, sc) in scenarios.iter().enumerate() {
+            step_rhs(
+                pg,
+                cfg.scheme,
+                t0,
+                t1,
+                h,
+                v.col(s),
+                sc.scales(),
+                &g_matrix,
+                &mut gv,
+                rhs.col_mut(s),
+            );
+        }
+        solver.factor().solve_multi_into(&rhs, &mut vnext);
         std::mem::swap(&mut v, &mut vnext);
         steps += 1;
         times.push(t1);
-        for (trace, &p) in probes.iter_mut().zip(probe_nodes.iter()) {
-            trace.push(v[p]);
+        for (s, scenario_probes) in probes.iter_mut().enumerate() {
+            for (trace, &p) in scenario_probes.iter_mut().zip(probe_nodes.iter()) {
+                trace.push(v.col(s)[p]);
+            }
         }
     }
-    let solve_time = t_solve.elapsed() - factor_time;
-    Ok(TransientResult {
-        times,
-        probes,
-        stats: TransientStats {
-            steps,
-            factor_time,
-            solve_time,
-            total_pcg_iterations: 0,
-            avg_pcg_iterations: 0.0,
-            memory_bytes: memory,
-            factorizations,
-        },
-    })
+    let solve_time = t_solve.elapsed().saturating_sub(factor_time) / k as u32;
+    if let Some(g) = span.as_mut() {
+        g.arg("steps", steps as f64);
+    }
+    Ok(probes
+        .into_iter()
+        .map(|scenario_probes| TransientResult {
+            times: times.clone(),
+            probes: scenario_probes,
+            stats: TransientStats {
+                steps,
+                factor_time,
+                solve_time,
+                total_pcg_iterations: 0,
+                avg_pcg_iterations: 0.0,
+                memory_bytes: memory,
+                factorizations,
+            },
+        })
+        .collect())
 }
 
 /// Variable-step transient with sparsifier-preconditioned PCG.
@@ -943,76 +920,6 @@ pub fn simulate_pcg_batch_outcomes(
         .collect())
 }
 
-/// Fault-tolerant variant of [`simulate_direct_batch`]: malformed
-/// scenarios become [`ScenarioOutcome::Failed`] entries instead of
-/// panics, and the remaining ensemble runs through the shared direct
-/// solver unchanged.
-///
-/// The direct engine advances every scenario with the same factorized
-/// operator, so per-scenario numerical divergence can only enter through
-/// the right-hand sides; a scenario whose waveforms go non-finite is
-/// reported as [`ScenarioFailureKind::NonFiniteState`] with the step at
-/// which its probe traces first left the finite range.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotPositiveDefinite`] when `G + C/h` cannot be
-/// factorized — a shared failure that dooms every scenario alike.
-///
-/// # Panics
-///
-/// Panics if a probe node is out of bounds or `scenarios` is empty.
-pub fn simulate_direct_batch_outcomes(
-    pg: &PowerGrid,
-    cfg: &TransientConfig,
-    probe_nodes: &[usize],
-    scenarios: &[SourceScenario],
-) -> Result<Vec<ScenarioOutcome>, SparseError> {
-    assert!(!scenarios.is_empty(), "at least one scenario is required");
-    let num_sources = pg.sources().len();
-    let mut failures: Vec<Option<ScenarioFailure>> = vec![None; scenarios.len()];
-    let mut active: Vec<usize> = Vec::new();
-    for (s, sc) in scenarios.iter().enumerate() {
-        match validate_scenario(sc, num_sources) {
-            Some(kind) => failures[s] = Some(ScenarioFailure { scenario: s, step: 0, kind }),
-            None => active.push(s),
-        }
-    }
-    let mut results: Vec<Option<TransientResult>> = vec![None; scenarios.len()];
-    if !active.is_empty() {
-        let active_scenarios: Vec<SourceScenario> =
-            active.iter().map(|&s| scenarios[s].clone()).collect();
-        let batch = simulate_direct_batch(pg, cfg, probe_nodes, &active_scenarios)?;
-        for (&s, result) in active.iter().zip(batch) {
-            let bad_step = result
-                .probes
-                .iter()
-                .filter_map(|trace| trace.iter().position(|x| !x.is_finite()))
-                .min();
-            match bad_step {
-                Some(step) => {
-                    failures[s] = Some(ScenarioFailure {
-                        scenario: s,
-                        step,
-                        kind: ScenarioFailureKind::NonFiniteState,
-                    });
-                }
-                None => results[s] = Some(result),
-            }
-        }
-    }
-    Ok(scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, _)| match failures[s].take() {
-            Some(fail) => ScenarioOutcome::Failed(fail),
-            None => ScenarioOutcome::Completed(
-                results[s].take().expect("non-failed scenario has a result"),
-            ),
-        })
-        .collect())
-}
-
 /// Picks two interesting probe nodes: one next to a pad (stiff, near-VDD)
 /// and one at maximum BFS distance from every pad (worst droop). These
 /// play the role of the paper's Fig. 1 "VDD node" and worst-case node.
@@ -1290,7 +1197,7 @@ mod tests {
     fn batch_dc_points_match_single_dc_solves() {
         let pg = small_grid();
         let scenarios = scenario_ensemble(&pg, 4);
-        let v = dc_operating_points_batch(&pg, &scenarios).unwrap();
+        let v = dc_points_batch_threads(&pg, &scenarios, 1).unwrap();
         let g = pg.conductance_matrix();
         for (s, sc) in scenarios.iter().enumerate() {
             let b = pg.dc_rhs_scaled(sc.source_scale.as_deref());
@@ -1453,37 +1360,22 @@ mod tests {
     }
 
     #[test]
-    fn direct_outcomes_isolate_malformed_scenarios() {
+    fn direct_batch_reports_malformed_scales_as_typed_errors() {
         let pg = small_grid();
-        let (near, far) = probe_pair(&pg);
-        let probes = [near, far];
-        let cfg = quick_cfg();
         let m = pg.sources().len();
-        let mut bad = vec![1.0; m];
-        bad[1] = f64::INFINITY;
-        let scenarios = vec![
-            SourceScenario::nominal(),
-            SourceScenario::per_source(bad),
-            SourceScenario::uniform(0.5, m),
-        ];
-        let outcomes = simulate_direct_batch_outcomes(&pg, &cfg, &probes, &scenarios).unwrap();
-        assert!(outcomes[0].is_completed());
-        assert!(matches!(
-            outcomes[1].failure().unwrap().kind,
-            ScenarioFailureKind::InvalidScale { index: 1, .. }
-        ));
-        assert!(outcomes[2].is_completed());
-        // Survivors match a clean batch exactly (shared factor, per-column
-        // substitutions).
-        let clean = simulate_direct_batch(
-            &pg,
-            &cfg,
-            &probes,
-            &[scenarios[0].clone(), scenarios[2].clone()],
-        )
-        .unwrap();
-        assert_eq!(max_trace_gap(outcomes[0].result().unwrap(), &clean[0]), 0.0);
-        assert_eq!(max_trace_gap(outcomes[2].result().unwrap(), &clean[1]), 0.0);
+        let mut infinite = vec![1.0; m];
+        infinite[1] = f64::INFINITY;
+        for (bad, reason) in [(infinite, "scale inf at index 1"), (vec![1.0, 2.0], "has 2 entries")]
+        {
+            let scenarios = [SourceScenario::nominal(), SourceScenario::per_source(bad)];
+            match simulate_direct_batch(&pg, &quick_cfg(), &[0], &scenarios) {
+                Err(SparseError::InvalidValue { what }) => {
+                    let named = what.contains("scenario 1 failed at step 0: ");
+                    assert!(named && what.contains(reason), "{what}");
+                }
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -427,26 +427,28 @@ impl CholeskyFactor {
     }
 }
 
-/// One up-looking row step on the **shared** factor arrays: computes row
-/// `k` of `L` — ereach pattern, scatter of column `k` of `C`, the
-/// triangular solve against the completed descendant columns, and the
-/// pivot — appending `L(k, j)` through the `next` cursors. This single
-/// body is the reference arithmetic both the serial sweep and the
-/// parallel path's top-of-tree tail execute (the job-local kernel in
-/// [`factor_subtree_job`] mirrors it through a local column map), which
-/// is what keeps the bit-identity contract in one place.
+/// One up-looking row step: computes row `k` of `L` — ereach pattern,
+/// scatter of column `k` of `C`, the triangular solve against the
+/// completed descendant columns, and the pivot — appending `L(k, j)`
+/// through the `next` cursors. `slot(j)` is factor column `j`'s index
+/// into `colptr` and `next`: the identity on the shared factor arrays
+/// (the serial sweep and the parallel path's top-of-tree tail), the
+/// job's local column map in [`factor_subtree_job`]. Every numeric
+/// factorization runs this one body, which is what keeps the
+/// bit-identity contract in one place.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::NotPositiveDefinite`] when the pivot fails.
 #[allow(clippy::too_many_arguments)]
-fn factor_row_shared(
+fn factor_row(
     c: &CscMatrix,
     parent: &[usize],
     k: usize,
-    lcolptr: &[usize],
-    lrowidx: &mut [usize],
-    lvalues: &mut [f64],
+    slot: impl Fn(usize) -> usize,
+    colptr: &[usize],
+    rowidx: &mut [usize],
+    values: &mut [f64],
     next: &mut [usize],
     stack: &mut [usize],
     wmark: &mut [usize],
@@ -467,25 +469,28 @@ fn factor_row_shared(
     }
     // Solve the triangular system for row k.
     for &j in &stack[top..n] {
-        let ljj = lvalues[lcolptr[j]]; // diagonal is first entry of column j
+        let sj = slot(j);
+        let pj = colptr[sj];
+        let ljj = values[pj]; // diagonal is first entry of column j
         let lkj = x[j] / ljj;
         x[j] = 0.0;
-        for p in (lcolptr[j] + 1)..next[j] {
-            x[lrowidx[p]] -= lvalues[p] * lkj;
+        for p in (pj + 1)..next[sj] {
+            x[rowidx[p]] -= values[p] * lkj;
         }
         d -= lkj * lkj;
-        let slot = next[j];
-        next[j] += 1;
-        lrowidx[slot] = k;
-        lvalues[slot] = lkj;
+        let dst = next[sj];
+        next[sj] += 1;
+        rowidx[dst] = k;
+        values[dst] = lkj;
     }
     if d <= 0.0 || !d.is_finite() {
         return Err(SparseError::NotPositiveDefinite { column: k });
     }
-    let slot = next[k];
-    next[k] += 1;
-    lrowidx[slot] = k;
-    lvalues[slot] = d.sqrt();
+    let sk = slot(k);
+    let dst = next[sk];
+    next[sk] += 1;
+    rowidx[dst] = k;
+    values[dst] = d.sqrt();
     Ok(())
 }
 
@@ -508,10 +513,11 @@ fn numeric_up_looking(
     let mut x = vec![0.0f64; n]; // dense row accumulator
 
     for k in 0..n {
-        factor_row_shared(
+        factor_row(
             c,
             &symbolic.parent,
             k,
+            |j| j,
             &lcolptr,
             &mut lrowidx,
             &mut lvalues,
@@ -551,11 +557,9 @@ struct SubtreeFactor {
 /// Up-looking factorization of one job's subtree union: the job's rows in
 /// ascending order, reading and writing only the job's own columns.
 ///
-/// This mirrors [`factor_row_shared`] line for line — same `ereach`
-/// pattern, same topological update loop, same append order — just
-/// addressed through the job's local column map (which is why it cannot
-/// reuse the shared-array body verbatim), so every column it produces is
-/// bit-identical to the serial kernel's.
+/// Each row runs [`factor_row`] addressed through the job's local column
+/// map, so every column it produces is bit-identical to the serial
+/// kernel's. The first failing pivot is recorded and ends the job.
 fn factor_subtree_job(c: &CscMatrix, symbolic: &SymbolicCholesky, cols: &[usize]) -> SubtreeFactor {
     let n = c.ncols();
     let mut local_of = vec![usize::MAX; n];
@@ -574,43 +578,26 @@ fn factor_subtree_job(c: &CscMatrix, symbolic: &SymbolicCholesky, cols: &[usize]
     let mut x = vec![0.0f64; n];
     let mut failed_column = None;
     for &k in cols {
-        let top = etree::ereach(c, k, &symbolic.parent, &mut stack, &mut wmark);
-        let (rows, vals) = c.col(k);
-        let mut d = 0.0;
-        for (&r, &v) in rows.iter().zip(vals.iter()) {
-            if r < k {
-                x[r] = v;
-            } else if r == k {
-                d = v;
-            }
-        }
-        for &j in &stack[top..n] {
-            // Row k's pattern is a pruned subtree below k, so every j is
-            // an etree descendant of k and lives in this job.
-            let lj = local_of[j];
-            debug_assert!(lj != usize::MAX, "ereach must stay inside the job's subtrees");
-            let pj = colptr[lj];
-            let ljj = values[pj];
-            let lkj = x[j] / ljj;
-            x[j] = 0.0;
-            for p in (pj + 1)..next[lj] {
-                x[rowidx[p]] -= values[p] * lkj;
-            }
-            d -= lkj * lkj;
-            let slot = next[lj];
-            next[lj] += 1;
-            rowidx[slot] = k;
-            values[slot] = lkj;
-        }
-        if d <= 0.0 || !d.is_finite() {
+        // Row k's pattern is a pruned subtree below k, so every column it
+        // touches is an etree descendant of k and lives in this job; a
+        // stray column maps to `usize::MAX` and fails the bounds check.
+        let row = factor_row(
+            c,
+            &symbolic.parent,
+            k,
+            |j| local_of[j],
+            &colptr,
+            &mut rowidx,
+            &mut values,
+            &mut next,
+            &mut stack,
+            &mut wmark,
+            &mut x,
+        );
+        if row.is_err() {
             failed_column = Some(k);
             break;
         }
-        let lk = local_of[k];
-        let slot = next[lk];
-        next[lk] += 1;
-        rowidx[slot] = k;
-        values[slot] = d.sqrt();
     }
     let filled = (0..cols.len()).map(|li| next[li] - colptr[li]).collect();
     SubtreeFactor { colptr, rowidx, values, filled, failed_column }
@@ -620,8 +607,9 @@ fn factor_subtree_job(c: &CscMatrix, symbolic: &SymbolicCholesky, cols: &[usize]
 /// factor concurrently as [`tracered_par::par_jobs`], then the serial
 /// kernel finishes the dense top-of-tree rows.
 ///
-/// Bit-identical to [`numeric_up_looking`] at every thread count. Why:
-/// the writers of factor column `j` are `j`'s etree ancestors, which
+/// Bit-identical to [`numeric_up_looking`] at every thread count. Both
+/// phases run every row through the one row step [`factor_row`]; the
+/// writers of factor column `j` are `j`'s etree ancestors, which
 /// form a chain with strictly increasing indices, so "append in
 /// ascending row order within each owner" — what the subtree phase and
 /// the ascending serial tail both do — reproduces the serial kernel's
@@ -701,10 +689,11 @@ fn numeric_up_looking_parallel(
         if k >= stop {
             break;
         }
-        factor_row_shared(
+        factor_row(
             c,
             &symbolic.parent,
             k,
+            |j| j,
             &lcolptr,
             &mut lrowidx,
             &mut lvalues,

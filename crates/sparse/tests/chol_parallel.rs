@@ -2,7 +2,7 @@
 //! schedule's structural invariants, and bit-identity of the parallel
 //! factorization with the serial up-looking kernel at every thread
 //! count, across random SPD grid/tridiagonal matrices, shifts, and
-//! orderings (natural and approximate minimum degree).
+//! orderings (natural, approximate minimum degree and nested dissection).
 
 use proptest::prelude::*;
 use tracered_sparse::chol::{etree_consistent_with_factor, SymbolicCholesky};
@@ -84,7 +84,8 @@ fn assert_csc_bit_identical(a: &CscMatrix, b: &CscMatrix, what: &str) {
     }
 }
 
-const ORDERINGS: [Ordering; 2] = [Ordering::Natural, Ordering::MinDegree];
+const ORDERINGS: [Ordering; 3] =
+    [Ordering::Natural, Ordering::MinDegree, Ordering::NestedDissection];
 
 proptest! {
     /// The headline contract: the parallel factor equals the serial one
@@ -106,7 +107,7 @@ proptest! {
     /// serial tail, never in another job.
     #[test]
     fn schedule_is_a_partition_of_closed_subtrees(a in arb_spd()) {
-        for ord in [Ordering::Natural, Ordering::MinDegree] {
+        for ord in ORDERINGS {
             let perm = ord.compute(&a).unwrap();
             let c = a.symmetric_perm_upper(&perm).unwrap();
             let symbolic = SymbolicCholesky::analyze(&c).unwrap();
@@ -142,11 +143,11 @@ proptest! {
 
     /// Promoted from the single-size unit test in `chol.rs`: the factor's
     /// structure is consistent with the elimination tree **after** the
-    /// fill-reducing permutation, for the natural and approximate
-    /// minimum degree orderings, on serial and parallel factors alike.
+    /// fill-reducing permutation, for every ordering, on serial and
+    /// parallel factors alike.
     #[test]
     fn etree_consistent_with_factor_post_permutation(a in arb_spd()) {
-        for ord in [Ordering::Natural, Ordering::MinDegree] {
+        for ord in ORDERINGS {
             let perm = ord.compute(&a).unwrap();
             let c = a.symmetric_perm_upper(&perm).unwrap();
             let symbolic = SymbolicCholesky::analyze(&c).unwrap();

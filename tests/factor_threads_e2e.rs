@@ -7,10 +7,13 @@
 use tracered_core::{sparsify, sparsify_partitioned, Method, PartitionedConfig, SparsifyConfig};
 use tracered_graph::gen::{grid2d, tri_mesh, WeightProfile};
 use tracered_powergrid::synth::{synthesize, SynthConfig};
-use tracered_powergrid::transient::{probe_pair, simulate_direct, TransientConfig};
+use tracered_powergrid::transient::{
+    probe_pair, simulate_direct, simulate_direct_varied, TransientConfig, TransientResult,
+};
+use tracered_powergrid::PowerGrid;
 use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
-use tracered_sparse::CscMatrix;
+use tracered_sparse::{CscMatrix, SparseError};
 
 const SWEEP: [usize; 3] = [1, 2, 4];
 
@@ -98,19 +101,29 @@ fn partitioned_inner_and_outer_parallelism_compose() {
     assert_eq!(serial.sparsifier().edge_ids(), nested.sparsifier().edge_ids());
 }
 
+/// A direct transient engine: fixed-step or breakpoint-driven.
+type DirectEngine =
+    fn(&PowerGrid, &TransientConfig, &[usize]) -> Result<TransientResult, SparseError>;
+
 #[test]
 fn transient_waveforms_are_invariant_under_factor_threads() {
-    let pg = synthesize(&SynthConfig { mesh: 9, source_fraction: 0.2, ..Default::default() });
+    // 144 nodes, above the parallel factor's 128-column serial fallback,
+    // so the runs at 2 and 4 threads really factor in subtree jobs.
+    let pg = synthesize(&SynthConfig { mesh: 12, source_fraction: 0.2, ..Default::default() });
     let (near, far) = probe_pair(&pg);
     let base_cfg =
         TransientConfig { t_end: 5e-10, fixed_step: Some(2.5e-11), ..Default::default() };
-    let baseline = simulate_direct(&pg, &base_cfg, &[near, far]).unwrap();
-    for threads in [2usize, 4] {
-        let cfg = TransientConfig { factor_threads: threads, ..base_cfg };
-        let run = simulate_direct(&pg, &cfg, &[near, far]).unwrap();
-        assert_eq!(run.times, baseline.times);
-        for (a, b) in run.probes.iter().flatten().zip(baseline.probes.iter().flatten()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "waveform changed at {threads} threads");
+    let engines: [DirectEngine; 2] = [simulate_direct, simulate_direct_varied];
+    for engine in engines {
+        let baseline = engine(&pg, &base_cfg, &[near, far]).unwrap();
+        for threads in [2usize, 4] {
+            let cfg = TransientConfig { factor_threads: threads, ..base_cfg };
+            let run = engine(&pg, &cfg, &[near, far]).unwrap();
+            assert_eq!(run.times, baseline.times);
+            assert_eq!(run.stats.factorizations, baseline.stats.factorizations);
+            for (a, b) in run.probes.iter().flatten().zip(baseline.probes.iter().flatten()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "waveform changed at {threads} threads");
+            }
         }
     }
 }
