@@ -138,7 +138,7 @@ impl SparsifyConfig {
     }
 
     /// Worker threads for the per-iteration subgraph Cholesky
-    /// factorizations: `Some(1)` (the default) is the serial up-looking
+    /// factorizations: `Some(1)` (the default) is the serial numeric
     /// kernel, `Some(t)` factors independent elimination-tree subtrees
     /// on `t` workers, `None` uses the hardware's available parallelism.
     ///
@@ -156,10 +156,13 @@ impl SparsifyConfig {
         self.factor_threads
     }
 
-    /// The numeric Cholesky kernel of the per-iteration factorizations:
-    /// always [`KernelVariant::Scalar`], since the kernel is not a config
-    /// knob. Kept only because the `perfbench` replay
-    /// (`perfbench/src/replay.rs`) calls it; delete it once that moves.
+    /// The numeric Cholesky kernel the `perfbench` replay
+    /// (`perfbench/src/replay.rs`) passes when it times the sparsifier
+    /// factorizations: always [`KernelVariant::Scalar`]. Sparsify's own
+    /// factors let the symbolic analysis pick the kernel by the factor's
+    /// shape, and every sparsifier factor the benchmark builds is thin
+    /// enough to get the scalar one. Kept only for that caller; delete
+    /// it once the replay stops calling it.
     pub fn kernel_value(&self) -> KernelVariant {
         KernelVariant::Scalar
     }

@@ -58,7 +58,7 @@ pub struct IterationStats {
     pub threads: usize,
     /// Worker threads the subgraph Cholesky factorizations ran on
     /// (resolved from [`SparsifyConfig::factor_threads`]; 1 = serial
-    /// up-looking kernel). The parallel factorization is bit-identical
+    /// numeric kernel). The parallel factorization is bit-identical
     /// to serial, so comparing `factor_time` across runs at different
     /// settings gives the factor-phase speedup directly.
     pub factor_threads: usize,

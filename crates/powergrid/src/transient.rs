@@ -315,6 +315,11 @@ pub fn simulate_direct(
 /// `k` times); `solve_time` is the batch stepping time divided by `k` —
 /// the amortized per-scenario cost that the multi-RHS batching buys.
 ///
+/// Every step but the last spans the fixed `h`. When `t_end` is not a
+/// multiple of `h`, the last step is cut short to end at `t_end`, and it
+/// is integrated over its own length `t_end − t₀`: the step matrix is
+/// refactorized once for it (`factorizations` is then 2).
+///
 /// # Errors
 ///
 /// Returns [`SparseError::NotPositiveDefinite`] when `G + C/h` cannot be
@@ -335,14 +340,16 @@ pub fn simulate_direct_batch(
     let h = cfg.fixed_step.unwrap_or_else(|| {
         pg.sources().iter().map(|s| s.waveform.min_breakpoint_gap()).fold(cfg.max_step, f64::min)
     });
-    // Every step carries the configured `h` itself (the last one too):
-    // `t₁ − t₀` would round differently.
+    // A full step carries the configured `h` itself, since `t₁ − t₀`
+    // would round differently and refactorize. Only a last step that
+    // `t_end` cuts short by more than rounding carries its own length.
     let mut t = 0.0;
     let grid = std::iter::from_fn(|| {
         (t < cfg.t_end - 1e-18).then(|| {
             let t0 = t;
             t = (t + h).min(cfg.t_end);
-            (t0, t, h)
+            let left = cfg.t_end - t0;
+            (t0, t, if left < h * (1.0 - 1e-9) { left } else { h })
         })
     });
     direct_stepping(pg, cfg, probe_nodes, scenarios, grid)
@@ -1086,6 +1093,26 @@ mod tests {
         assert_eq!(direct.times.len(), iter.times.len());
         let d = direct.max_probe_difference(&iter, 0, 300);
         assert!(d < 1e-5, "trapezoidal direct vs PCG differ by {d} V");
+    }
+
+    #[test]
+    fn clamped_last_fixed_step_integrates_its_own_length() {
+        let pg = small_grid();
+        let (_, far) = probe_pair(&pg);
+        let run = |h: f64| {
+            let cfg = TransientConfig { t_end: 1e-9, fixed_step: Some(h), ..Default::default() };
+            simulate_direct(&pg, &cfg, &[far]).unwrap()
+        };
+        // 3e-11 s does not divide 1 ns: 33 full steps and one of 1e-11 s,
+        // which needs its own factor of G + C/h.
+        let clamped = run(3e-11);
+        assert_eq!(clamped.stats.steps, 34);
+        assert_eq!(clamped.stats.factorizations, 2);
+        let fine = run(1e-11);
+        assert_eq!(fine.stats.steps, 100);
+        assert_eq!(fine.stats.factorizations, 1);
+        let gap = (clamped.probes[0].last().unwrap() - fine.probes[0].last().unwrap()).abs();
+        assert!(gap < 1e-4, "far probe at t_end differs by {gap} V");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, KernelVariant, SparseError};
+use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, SparseError};
 
 /// A factor-once / solve-many direct solver.
 ///
@@ -42,9 +42,13 @@ impl DirectSolver {
     /// does before committing to a factorization. AMD wins on power-grid
     /// conductance matrices, nested dissection on 3-D meshes.
     ///
-    /// The numeric factorization runs on up to `threads` workers of the
-    /// global pool (`<= 1` is serial), bit-identical to the serial factor
-    /// at every count — only `factor_time` changes.
+    /// The symbolic analysis picks the numeric kernel, as
+    /// [`CholeskyFactor::factorize`] does: supernodal panels on fat
+    /// factors (3-D meshes, large nested-dissection systems), the scalar
+    /// up-looking kernel on thin ones. The numeric factorization runs on
+    /// up to `threads` workers of the global pool (`<= 1` is serial),
+    /// bit-identical to the serial factor at every count — only
+    /// `factor_time` changes.
     ///
     /// # Errors
     ///
@@ -56,12 +60,12 @@ impl DirectSolver {
             a,
             &[Ordering::MinDegree, Ordering::NestedDissection],
         )?;
-        let factor =
-            CholeskyFactor::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, threads)?;
+        let factor = CholeskyFactor::factorize_with_perm_kernel(a, perm, None, threads)?;
         Ok(DirectSolver { factor, factor_time: t.elapsed() })
     }
 
-    /// [`DirectSolver::new_threads`] with an explicit ordering choice.
+    /// [`DirectSolver::new_threads`] with an explicit ordering choice; the
+    /// kernel follows the factor's shape in the same way.
     ///
     /// # Errors
     ///
@@ -120,8 +124,24 @@ impl DirectSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracered_graph::gen::{tri_mesh, WeightProfile};
+    use tracered_graph::gen::{grid3d, tri_mesh, WeightProfile};
     use tracered_graph::laplacian::laplacian_with_shifts;
+    use tracered_sparse::KernelVariant;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `solver`'s factor values, refactored with its permutation by an
+    /// explicit kernel.
+    fn forced_kernel_values(
+        a: &CscMatrix,
+        solver: &DirectSolver,
+        kernel: KernelVariant,
+    ) -> Vec<u64> {
+        let perm = solver.factor().perm().clone();
+        bits(CholeskyFactor::factorize_with_perm_kernel(a, perm, kernel, 1).unwrap().l().values())
+    }
 
     #[test]
     fn many_rhs_share_one_factorization() {
@@ -135,6 +155,27 @@ mod tests {
         }
         assert!(solver.factor_nnz() >= 81);
         assert!(solver.memory_bytes() > 0);
+        // A thin 2-D factor stays on the scalar kernel.
+        assert_eq!(
+            bits(solver.factor().l().values()),
+            forced_kernel_values(&a, &solver, KernelVariant::Scalar)
+        );
+    }
+
+    #[test]
+    fn fat_factor_runs_supernodal_bit_identical_across_threads() {
+        let g = grid3d(12, 12, 12, WeightProfile::LogUniform { lo: 0.5, hi: 2.0 }, 9);
+        let n = g.num_nodes();
+        let a = laplacian_with_shifts(&g, &vec![0.02; n]);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+        let serial = DirectSolver::new_threads(&a, 1).unwrap();
+        let expected = bits(serial.factor().l().values());
+        assert_eq!(expected, forced_kernel_values(&a, &serial, KernelVariant::Supernodal));
+        for threads in [1usize, 2, 4] {
+            let solver = DirectSolver::new_threads(&a, threads).unwrap();
+            assert_eq!(bits(solver.factor().l().values()), expected, "threads {threads}");
+            assert!(a.residual_inf_norm(&solver.solve(&b), &b) < 1e-9, "threads {threads}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Sparse Cholesky factorization `P A Pᵀ = L Lᵀ` for symmetric positive
 //! definite matrices, with an up-looking numeric kernel driven by
-//! elimination-tree row subtrees (the CSparse `cs_chol` scheme).
+//! elimination-tree row subtrees (the CSparse `cs_chol` scheme) for thin
+//! factors and the supernodal kernel of [`crate::supernode`] for fat
+//! ones, chosen by the symbolic analysis as CHOLMOD chooses.
 //!
 //! This module is the workspace's substitute for CHOLMOD [Chen et al. 2008],
 //! which the paper uses both inside the sparsification loop (Step 12 of
@@ -92,7 +94,30 @@ impl SymbolicCholesky {
     pub fn schedule(&self, threads: usize) -> etree::EtreeSchedule {
         etree::EtreeSchedule::build(&self.parent, &self.column_costs(), threads)
     }
+
+    /// The numeric kernel for this pattern, by CHOLMOD's rule: the
+    /// supernodal kernel when the flop proxy Σ c_j² (c_j the factor
+    /// column counts) reaches [`SUPERNODAL_SWITCH`] per factor nonzero,
+    /// the scalar kernel otherwise. It reads the pattern only, so a
+    /// factor gets the same kernel at every thread count.
+    fn kernel(&self) -> KernelVariant {
+        let flops: u64 = self.column_costs().iter().sum();
+        if flops as f64 >= SUPERNODAL_SWITCH * self.factor_nnz() as f64 {
+            KernelVariant::Supernodal
+        } else {
+            KernelVariant::Scalar
+        }
+    }
 }
+
+/// Flops per factor nonzero at and above which the symbolic analysis
+/// picks the supernodal kernel. CHOLMOD switches at 40, a value that
+/// assumes BLAS panels; this kernel has none. On 2-D and 3-D grids and
+/// triangle meshes under AMD and nested dissection (one thread of a
+/// 2-vCPU x86-64 host, min of 3), the supernodal kernel took 1.38–1.65×
+/// the scalar time at 24–27 flops/nnz(L), 1.01–1.22× at 35–50,
+/// 0.91–0.98× at 51–59 and 0.40–0.78× from 70 up.
+const SUPERNODAL_SWITCH: f64 = 60.0;
 
 /// How [`CholeskyFactor::factorize`] orders and factors a matrix: the one
 /// options struct every factorization in the workspace goes through, as
@@ -173,10 +198,17 @@ impl CholeskyFactor {
     /// caller's responsibility (use [`CscMatrix::is_symmetric_within`] to
     /// check when in doubt).
     ///
-    /// The factor is **bit-identical** at every thread count: each
-    /// column's summation order is fixed by the elimination tree (a
-    /// column's updates come from its ancestors, which form a chain), so
-    /// the subtree schedule of [`crate::etree::EtreeSchedule`] changes only
+    /// The symbolic analysis picks the numeric kernel from the factor's
+    /// shape: the supernodal kernel of [`crate::supernode`] when the flop
+    /// count per factor nonzero reaches a fixed switch of 60 (fat
+    /// factors such as 3-D meshes or large nested-dissection systems),
+    /// the scalar up-looking kernel otherwise. No option sets it.
+    ///
+    /// The factor is **bit-identical** at every thread count: the kernel
+    /// depends only on the pattern, and within a kernel each column's
+    /// summation order is fixed by the elimination tree (a column's
+    /// updates come from its ancestors, which form a chain), so the
+    /// subtree schedule of [`crate::etree::EtreeSchedule`] changes only
     /// wall-clock time. `threads <= 1` runs the serial kernel.
     ///
     /// ```
@@ -211,7 +243,7 @@ impl CholeskyFactor {
         match boost {
             None => {
                 let perm = ordering.compute(a)?;
-                Self::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, threads)
+                Self::factorize_with_perm_kernel(a, perm, None, threads)
             }
             Some(schedule) => Self::factorize_boosted(a, ordering, threads, &schedule),
         }
@@ -230,9 +262,8 @@ impl CholeskyFactor {
         schedule.validate()?;
         scan_non_finite(a)?;
         let perm = ordering.compute(a)?;
-        let factor = |m: &CscMatrix| {
-            Self::factorize_with_perm_kernel(m, perm.clone(), KernelVariant::Scalar, threads)
-        };
+        let factor =
+            |m: &CscMatrix| Self::factorize_with_perm_kernel(m, perm.clone(), None, threads);
         let mut last = match factor(a) {
             Err(e @ SparseError::NotPositiveDefinite { .. }) => e,
             done => return done,
@@ -252,10 +283,12 @@ impl CholeskyFactor {
         Err(last)
     }
 
-    /// Factorizes with a caller-provided permutation and an explicit
-    /// numeric kernel: the scalar up-looking row kernel or the supernodal
-    /// blocked-panel kernel (see [`crate::supernode`]), on up to
-    /// `threads` workers. [`CholeskyFactor::factorize`] funnels into it.
+    /// Factorizes with a caller-provided permutation on up to `threads`
+    /// workers. `kernel` is `None` to let the symbolic analysis pick the
+    /// numeric kernel, as [`CholeskyFactor::factorize`] does (it funnels
+    /// into this), or a [`KernelVariant`] to force the scalar up-looking
+    /// row kernel or the supernodal blocked-panel kernel (see
+    /// [`crate::supernode`]).
     ///
     /// Each variant is bit-identical to itself at every thread count; the
     /// two variants agree only up to rounding (different summation
@@ -269,10 +302,10 @@ impl CholeskyFactor {
     pub fn factorize_with_perm_kernel(
         a: &CscMatrix,
         perm: Permutation,
-        kernel: KernelVariant,
+        kernel: impl Into<Option<KernelVariant>>,
         threads: usize,
     ) -> Result<Self, SparseError> {
-        let _span =
+        let mut span =
             tracered_obs::span!("chol.factorize", { n: a.ncols(), nnz: a.nnz(), threads: threads });
         let (c, symbolic) = {
             let _sym = tracered_obs::span!("chol.symbolic");
@@ -280,6 +313,10 @@ impl CholeskyFactor {
             let symbolic = SymbolicCholesky::analyze(&c)?;
             (c, symbolic)
         };
+        let kernel = kernel.into().unwrap_or_else(|| symbolic.kernel());
+        if let Some(g) = span.as_mut() {
+            g.arg("kernel", f64::from(u8::from(kernel == KernelVariant::Supernodal)));
+        }
         let l = match kernel {
             KernelVariant::Scalar => {
                 if threads > 1 {
@@ -836,30 +873,40 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
 
-    fn grid_laplacian_shifted(k: usize, shift: f64) -> CscMatrix {
-        let n = k * k;
+    /// Unit-weight Laplacian of the graph on `n` nodes with these edges,
+    /// plus `shift` on the diagonal.
+    fn laplacian_shifted(n: usize, edges: &[(usize, usize)], shift: f64) -> CscMatrix {
         let mut coo = CooMatrix::new(n, n);
-        let id = |r: usize, c: usize| r * k + c;
         let mut deg = vec![0.0; n];
-        let push_edge = |coo: &mut CooMatrix, a: usize, b: usize, deg: &mut [f64]| {
+        for &(a, b) in edges {
             coo.push_symmetric(a, b, -1.0).unwrap();
             deg[a] += 1.0;
             deg[b] += 1.0;
-        };
-        for r in 0..k {
-            for c in 0..k {
-                if c + 1 < k {
-                    push_edge(&mut coo, id(r, c), id(r, c + 1), &mut deg);
-                }
-                if r + 1 < k {
-                    push_edge(&mut coo, id(r, c), id(r + 1, c), &mut deg);
-                }
-            }
         }
         for (i, &d) in deg.iter().enumerate() {
             coo.push(i, i, d + shift).unwrap();
         }
         coo.to_csc()
+    }
+
+    /// Shifted Laplacian of the `dims[0] × dims[1] × …` grid.
+    fn grid_shifted(dims: &[usize], shift: f64) -> CscMatrix {
+        let n: usize = dims.iter().product();
+        let mut edges = Vec::new();
+        for v in 0..n {
+            let mut stride = 1;
+            for &d in dims {
+                if (v / stride) % d + 1 < d {
+                    edges.push((v, v + stride));
+                }
+                stride *= d;
+            }
+        }
+        laplacian_shifted(n, &edges, shift)
+    }
+
+    fn grid_laplacian_shifted(k: usize, shift: f64) -> CscMatrix {
+        grid_shifted(&[k, k], shift)
     }
 
     #[test]
@@ -1068,6 +1115,30 @@ mod tests {
                 assert!((0..n).all(|k| par.perm().new_to_old(k) == serial.perm().new_to_old(k)));
                 assert_factors_bit_identical(par.l(), serial.l());
             }
+        }
+    }
+
+    #[test]
+    fn kernel_rule_picks_supernodal_only_for_fat_factors() {
+        let cases = [
+            // A path: every column has two nonzeros, about 2 flops/nnz(L).
+            (grid_shifted(&[400], 0.1), Ordering::Natural, KernelVariant::Scalar),
+            (grid_laplacian_shifted(12, 0.1), Ordering::MinDegree, KernelVariant::Scalar),
+            // About 104 flops/nnz(L).
+            (
+                grid_shifted(&[12, 12, 12], 0.1),
+                Ordering::NestedDissection,
+                KernelVariant::Supernodal,
+            ),
+        ];
+        for (a, ord, expected) in cases {
+            let perm = ord.compute(&a).unwrap();
+            let c = a.symmetric_perm_upper(&perm).unwrap();
+            let kernel = SymbolicCholesky::analyze(&c).unwrap().kernel();
+            assert_eq!(kernel, expected, "n = {} under {ord:?}", a.ncols());
+            let by_rule = CholeskyFactor::factorize(&a, ord).unwrap();
+            let forced = CholeskyFactor::factorize_with_perm_kernel(&a, perm, kernel, 1).unwrap();
+            assert_factors_bit_identical(by_rule.l(), forced.l());
         }
     }
 

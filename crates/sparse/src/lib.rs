@@ -7,9 +7,10 @@
 //!   storage with conversions;
 //! - fill-reducing orderings (approximate minimum degree and nested
 //!   dissection) in [`order`];
-//! - an elimination-tree based symbolic analysis ([`etree`]) and an
-//!   up-looking numeric sparse Cholesky factorization ([`chol`]) in the
-//!   style of CSparse/CHOLMOD, steered by one [`FactorOptions`] (ordering,
+//! - an elimination-tree based symbolic analysis ([`etree`]) and a
+//!   numeric sparse Cholesky factorization ([`chol`]) in the style of
+//!   CSparse/CHOLMOD — up-looking on thin factors, supernodal panels
+//!   ([`supernode`]) on fat ones — steered by one [`FactorOptions`] (ordering,
 //!   threads, diagonal-boost ladder) through
 //!   [`CholeskyFactor::factorize`]; its subtree-scheduled parallel
 //!   numeric path factors independent elimination-tree subtrees

@@ -13,14 +13,18 @@
 //!    merged into panels, with *relaxed amalgamation* additionally merging
 //!    neighbouring chains when the explicit zeros this introduces stay
 //!    under a small budget (`RELAX_MAX_WIDTH`, `RELAX_PAD_DENOM`).
-//! 2. **Panels**: each supernode's columns are stored as one dense
-//!    column-major block over the union row pattern, so the update and
-//!    factor loops are plain strided `f64` loops the compiler can
-//!    autovectorize — no BLAS dependency.
+//! 2. **Panels**: each supernode's columns are stored as one packed
+//!    lower trapezoid over the union row pattern — column `jc` holds
+//!    rows `jc..r` — so the update and factor loops are plain `f64`
+//!    loops the compiler can autovectorize, with no BLAS dependency. The
+//!    panels lie end to end, in supernode order, in the one array that
+//!    becomes the factor's CSC values: an unpadded panel already is the
+//!    CSC slice of its columns, and one ascending in-place pass at the
+//!    end moves the entries of padded panels down to their CSC slots.
 //! 3. **Left-looking blocked factorization**: every supernode first
 //!    receives the rank-`w` updates of its descendant supernodes (tiled
-//!    microkernels accumulating through a scratch block), then runs a
-//!    dense in-panel Cholesky.
+//!    microkernels, subtracting straight into the panel or through a
+//!    two-column scratch strip), then runs a dense in-panel Cholesky.
 //!
 //! # Determinism contract
 //!
@@ -38,16 +42,20 @@ use crate::csc::CscMatrix;
 use crate::error::SparseError;
 use crate::etree;
 
-/// Which numeric kernel
+/// Which numeric kernel a factorization runs. The symbolic analysis
+/// picks it from the factor's shape — `Supernodal` when the flop count
+/// per factor nonzero reaches a fixed switch, as CHOLMOD decides — so
+/// [`CholeskyFactor::factorize`](crate::CholeskyFactor::factorize) and
+/// the direct solver never name it, and no configuration selects it.
 /// [`CholeskyFactor::factorize_with_perm_kernel`](crate::CholeskyFactor::factorize_with_perm_kernel)
-/// runs. [`CholeskyFactor::factorize`](crate::CholeskyFactor::factorize)
-/// always runs `Scalar`, and no configuration selects the kernel.
+/// takes an explicit variant to force one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelVariant {
-    /// The scalar up-looking row kernel — the historical default.
+    /// The scalar up-looking row kernel, for thin factors.
     #[default]
     Scalar,
-    /// Supernodal blocked panels with tiled rank-k updates.
+    /// Supernodal blocked panels with tiled rank-k updates, for fat
+    /// factors.
     Supernodal,
 }
 
@@ -223,6 +231,27 @@ impl SupernodePartition {
     fn max_rows(&self) -> usize {
         (0..self.num_supernodes()).map(|s| self.rowptr[s + 1] - self.rowptr[s]).max().unwrap_or(0)
     }
+
+    /// Cells of supernode `s`'s packed trapezoid: its factor nonzeros
+    /// plus its padded cells.
+    fn panel_len(&self, s: usize) -> usize {
+        let w = self.width(s);
+        col_base(w, self.rowptr[s + 1] - self.rowptr[s]) + w
+    }
+}
+
+/// Offset of row 0 of column `jc` in a packed trapezoid panel of `r`
+/// rows. Column `jc` stores only rows `jc..r`, so the cell of row
+/// `i >= jc` sits at `col_base(jc, r) + i`, and column `jc + 1` starts
+/// where column `jc` ends.
+fn col_base(jc: usize, r: usize) -> usize {
+    jc * r - jc * (jc + 1) / 2
+}
+
+/// Rows `from..r` of column `jc` of a packed panel of `r` rows.
+fn panel_col(panel: &[f64], jc: usize, r: usize, from: usize) -> &[f64] {
+    let base = col_base(jc, r);
+    &panel[base + from..base + r]
 }
 
 /// Two-pointer merge of sorted, duplicate-free index slices.
@@ -309,42 +338,43 @@ fn build_updates(part: &SupernodePartition) -> Vec<Vec<(usize, usize)>> {
 /// serial sweep and the tail, and through a job-local sorted list inside
 /// subtree jobs.
 trait PanelLookup {
-    /// The completed dense panel of supernode `s`.
+    /// The completed packed panel of supernode `s`.
     fn panel(&self, s: usize) -> &[f64];
 }
 
-impl PanelLookup for [Vec<f64>] {
+impl PanelLookup for [&mut [f64]] {
     fn panel(&self, s: usize) -> &[f64] {
-        &self[s]
+        self[s]
     }
 }
 
-impl PanelLookup for [(usize, &mut Vec<f64>)] {
+impl PanelLookup for [(usize, &mut [f64])] {
     fn panel(&self, s: usize) -> &[f64] {
         let i = self
             .binary_search_by_key(&s, |e| e.0)
             .expect("descendant supernode panels stay within the owning subtree job");
-        self[i].1.as_slice()
+        self[i].1
     }
 }
 
-/// Factors one supernode panel left-looking: scatter of the lower
-/// triangle of `A`, descendant rank-k updates in ascending-descendant
-/// order through the `wbuf` scratch block, then a dense in-panel
-/// Cholesky. Columns with global index `>= limit` are skipped (the
-/// parallel tail uses this to stop at an earlier job failure exactly
-/// where the serial sweep would have stopped).
+/// Factors one supernode panel left-looking: descendant rank-k updates
+/// in ascending-descendant order, then a dense in-panel Cholesky.
+/// Columns with global index `>= limit` are skipped (the parallel tail
+/// uses this to stop at an earlier job failure exactly where the serial
+/// sweep would have stopped).
 ///
-/// Returns the global index of the first failing pivot column, if any.
-/// `relmap` must be `usize::MAX`-filled on entry and is restored on exit.
+/// `panel` is the supernode's packed trapezoid holding `A`'s entries
+/// (see [`scatter_matrix`]) and zeros. Returns the global index of the
+/// first failing pivot column, if any. `relmap` must be
+/// `usize::MAX`-filled on entry and is restored on exit; `wbuf` holds at
+/// least two columns of the tallest panel.
 #[allow(clippy::too_many_arguments)]
 fn factor_supernode_into<L: PanelLookup + ?Sized>(
     s: usize,
-    lower: &CscMatrix,
     part: &SupernodePartition,
     updates: &[(usize, usize)],
     deps: &L,
-    panel: &mut Vec<f64>,
+    panel: &mut [f64],
     relmap: &mut [usize],
     wbuf: &mut [f64],
     limit: usize,
@@ -354,21 +384,9 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
     let w = s2 - s1;
     let rows = part.rows(s);
     let r = rows.len();
-    panel.clear();
-    panel.resize(r * w, 0.0);
+    debug_assert_eq!(panel.len(), part.panel_len(s), "panel must be the packed trapezoid");
     for (i, &row) in rows.iter().enumerate() {
         relmap[row] = i;
-    }
-
-    // Scatter the lower-triangle columns of A. Every stored entry of A
-    // is in L's pattern, so the row map always hits.
-    for (jc, jj) in (s1..s2).enumerate() {
-        let (ri, rv) = lower.col(jj);
-        let base = jc * r;
-        for (&i, &v) in ri.iter().zip(rv.iter()) {
-            debug_assert!(relmap[i] != usize::MAX, "A's pattern must be inside L's");
-            panel[base + relmap[i]] = v;
-        }
     }
 
     // Descendant updates, ascending by descendant supernode index.
@@ -377,7 +395,7 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
         let dw = part.width(d);
         let rd = drows.len();
         let dpanel = deps.panel(d);
-        debug_assert_eq!(dpanel.len(), rd * dw, "descendant panel must be complete");
+        debug_assert_eq!(dpanel.len(), part.panel_len(d), "descendant panel must be complete");
         let r2 = rd - off;
         // Rows of d that land inside this supernode's column range
         // become update target columns.
@@ -400,18 +418,22 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
             let mut j = 0;
             while j + 2 <= r1 {
                 // The panel's rows begin with its own columns, so in the
-                // contiguous case target columns are adjacent: t0 + j
-                // and t0 + j + 1.
+                // contiguous case the target columns are adjacent, tc
+                // and tc + 1, and landing row j is panel row tc. Packed
+                // column tc + 1 starts at its row tc + 1, where column
+                // tc ends, so `pb` begins at landing row j + 1.
                 let tc = drows[off + j] - s1;
-                let (pa, pb) = panel[tc * r..(tc + 2) * r].split_at_mut(r);
-                let col0 = &mut pa[t0 + j..t0 + r2];
-                let col1 = &mut pb[t0 + j + 1..t0 + r2];
+                debug_assert_eq!(t0 + j, tc, "landing row j must be the target column's row");
+                let cb = col_base(tc, r);
+                let (pa, pb) = panel.split_at_mut(cb + r);
+                let col0 = &mut pa[cb + t0 + j..cb + t0 + r2];
+                let col1 = &mut pb[..r2 - j - 1];
                 let mut k = 0;
                 while k + 4 <= dw {
-                    let c0 = &dpanel[k * rd + off..(k + 1) * rd];
-                    let c1 = &dpanel[(k + 1) * rd + off..(k + 2) * rd];
-                    let c2 = &dpanel[(k + 2) * rd + off..(k + 3) * rd];
-                    let c3 = &dpanel[(k + 3) * rd + off..(k + 4) * rd];
+                    let c0 = panel_col(dpanel, k, rd, off);
+                    let c1 = panel_col(dpanel, k + 1, rd, off);
+                    let c2 = panel_col(dpanel, k + 2, rd, off);
+                    let c3 = panel_col(dpanel, k + 3, rd, off);
                     let (a0, a1, a2, a3) = (c0[j], c1[j], c2[j], c3[j]);
                     let (b0, b1, b2, b3) = (c0[j + 1], c1[j + 1], c2[j + 1], c3[j + 1]);
                     col0[0] -= a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3;
@@ -424,7 +446,7 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
                     k += 4;
                 }
                 while k < dw {
-                    let c0 = &dpanel[k * rd + off..(k + 1) * rd];
+                    let c0 = panel_col(dpanel, k, rd, off);
                     let a0 = c0[j];
                     let b0 = c0[j + 1];
                     col0[0] -= a0 * a0;
@@ -438,14 +460,14 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
                 j += 2;
             }
             if j < r1 {
-                let tc = drows[off + j] - s1;
-                let col = &mut panel[tc * r + t0 + j..tc * r + t0 + r2];
+                let cb = col_base(drows[off + j] - s1, r);
+                let col = &mut panel[cb + t0 + j..cb + t0 + r2];
                 let mut k = 0;
                 while k + 4 <= dw {
-                    let c0 = &dpanel[k * rd + off + j..k * rd + rd];
-                    let c1 = &dpanel[(k + 1) * rd + off + j..(k + 1) * rd + rd];
-                    let c2 = &dpanel[(k + 2) * rd + off + j..(k + 2) * rd + rd];
-                    let c3 = &dpanel[(k + 3) * rd + off + j..(k + 3) * rd + rd];
+                    let c0 = panel_col(dpanel, k, rd, off + j);
+                    let c1 = panel_col(dpanel, k + 1, rd, off + j);
+                    let c2 = panel_col(dpanel, k + 2, rd, off + j);
+                    let c3 = panel_col(dpanel, k + 3, rd, off + j);
                     let (b0, b1, b2, b3) = (c0[0], c1[0], c2[0], c3[0]);
                     for (i, x) in col.iter_mut().enumerate() {
                         *x -= c0[i] * b0 + c1[i] * b1 + c2[i] * b2 + c3[i] * b3;
@@ -453,7 +475,7 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
                     k += 4;
                 }
                 while k < dw {
-                    let c0 = &dpanel[k * rd + off + j..k * rd + rd];
+                    let c0 = panel_col(dpanel, k, rd, off + j);
                     let b0 = c0[0];
                     for (i, x) in col.iter_mut().enumerate() {
                         *x -= c0[i] * b0;
@@ -464,28 +486,44 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
             continue;
         }
 
-        // W[j*r2 + i] = sum_k Ld[off+i, k] * Ld[off+j, k] for the lower
+        // W[i, j] = sum_k Ld[off+i, k] * Ld[off+j, k] for the lower
         // trapezoid i >= j: a rank-dw outer-product accumulation, tiled
         // 2 (target columns) × 4 (descendant columns) so every loaded
         // panel element feeds two accumulators — on the tall dense panels
         // at the top of the tree this kernel is memory-bound, and the
         // pairing halves the stream traffic. The inner loops are plain
-        // fused multiply-add streams the compiler autovectorizes.
+        // fused multiply-add streams the compiler autovectorizes. `W` is
+        // computed one two-column strip at a time, `wa` and `wb` indexed
+        // by landing row, and each strip is scatter-subtracted into the
+        // panel before the next: every panel cell takes one subtraction
+        // per update, so the strip order changes no value. Rows of d
+        // absent from this panel's union pattern (possible only through
+        // relaxed padding) carry exactly-zero contributions and are
+        // skipped — a decision made purely from the partition, never
+        // from the schedule.
+        let landing = &drows[off..];
+        let scatter = |panel: &mut [f64], j: usize, wcol: &[f64]| {
+            let base = col_base(landing[j] - s1, r);
+            for (&row, &x) in landing[j..].iter().zip(&wcol[j..]) {
+                let t = relmap[row];
+                if t != usize::MAX {
+                    panel[base + t] -= x;
+                }
+            }
+        };
+        let (wa, wb) = wbuf[..2 * r2].split_at_mut(r2);
         let mut j = 0;
         while j + 2 <= r1 {
-            // Two adjacent W columns; wbuf is r2-strided, so the pair's
-            // live parts (rows j.. and j+1..) never overlap.
-            let (wa, wb) = wbuf[j * r2..(j + 2) * r2].split_at_mut(r2);
             let wcol0 = &mut wa[j..];
             let wcol1 = &mut wb[j + 1..];
             wcol0.fill(0.0);
             wcol1.fill(0.0);
             let mut k = 0;
             while k + 4 <= dw {
-                let c0 = &dpanel[k * rd + off..(k + 1) * rd];
-                let c1 = &dpanel[(k + 1) * rd + off..(k + 2) * rd];
-                let c2 = &dpanel[(k + 2) * rd + off..(k + 3) * rd];
-                let c3 = &dpanel[(k + 3) * rd + off..(k + 4) * rd];
+                let c0 = panel_col(dpanel, k, rd, off);
+                let c1 = panel_col(dpanel, k + 1, rd, off);
+                let c2 = panel_col(dpanel, k + 2, rd, off);
+                let c3 = panel_col(dpanel, k + 3, rd, off);
                 let (a0, a1, a2, a3) = (c0[j], c1[j], c2[j], c3[j]);
                 let (b0, b1, b2, b3) = (c0[j + 1], c1[j + 1], c2[j + 1], c3[j + 1]);
                 // Row i = j contributes to column j only.
@@ -499,7 +537,7 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
                 k += 4;
             }
             while k < dw {
-                let c0 = &dpanel[k * rd + off..(k + 1) * rd];
+                let c0 = panel_col(dpanel, k, rd, off);
                 let a0 = c0[j];
                 let b0 = c0[j + 1];
                 wcol0[0] += a0 * a0;
@@ -510,17 +548,19 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
                 }
                 k += 1;
             }
+            scatter(panel, j, wa);
+            scatter(panel, j + 1, wb);
             j += 2;
         }
         if j < r1 {
-            let wcol = &mut wbuf[j * r2 + j..j * r2 + r2];
+            let wcol = &mut wa[j..];
             wcol.fill(0.0);
             let mut k = 0;
             while k + 4 <= dw {
-                let c0 = &dpanel[k * rd + off + j..k * rd + rd];
-                let c1 = &dpanel[(k + 1) * rd + off + j..(k + 1) * rd + rd];
-                let c2 = &dpanel[(k + 2) * rd + off + j..(k + 2) * rd + rd];
-                let c3 = &dpanel[(k + 3) * rd + off + j..(k + 3) * rd + rd];
+                let c0 = panel_col(dpanel, k, rd, off + j);
+                let c1 = panel_col(dpanel, k + 1, rd, off + j);
+                let c2 = panel_col(dpanel, k + 2, rd, off + j);
+                let c3 = panel_col(dpanel, k + 3, rd, off + j);
                 let (b0, b1, b2, b3) = (c0[0], c1[0], c2[0], c3[0]);
                 for (i, x) in wcol.iter_mut().enumerate() {
                     *x += c0[i] * b0 + c1[i] * b1 + c2[i] * b2 + c3[i] * b3;
@@ -528,68 +568,57 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
                 k += 4;
             }
             while k < dw {
-                let c0 = &dpanel[k * rd + off + j..k * rd + rd];
+                let c0 = panel_col(dpanel, k, rd, off + j);
                 let b0 = c0[0];
                 for (i, x) in wcol.iter_mut().enumerate() {
                     *x += c0[i] * b0;
                 }
                 k += 1;
             }
-        }
-        // Scatter-subtract W into the panel. Rows of d absent from this
-        // panel's union pattern (possible only through relaxed padding)
-        // carry exactly-zero contributions and are skipped — a decision
-        // made purely from the partition, never from the schedule.
-        for j in 0..r1 {
-            let tc = drows[off + j] - s1;
-            let base = tc * r;
-            for i in j..r2 {
-                let t = relmap[drows[off + i]];
-                if t != usize::MAX {
-                    panel[base + t] -= wbuf[j * r2 + i];
-                }
-            }
+            scatter(panel, j, wa);
         }
     }
 
     // Dense in-panel Cholesky: per column, subtract the rank-1
     // contributions of the completed panel columns (tiled in fours),
-    // pivot, then scale the below-diagonal rows.
+    // pivot, then scale the below-diagonal rows. `col` and each `p*`
+    // hold rows jc.. of their columns.
     let mut failed = None;
     for jc in 0..w {
         if s1 + jc >= limit {
             break;
         }
-        let (before, current) = panel.split_at_mut(jc * r);
-        let col = &mut current[..r];
+        let cb = col_base(jc, r);
+        let (before, current) = panel.split_at_mut(cb + jc);
+        let col = &mut current[..r - jc];
         let mut kc = 0;
         while kc + 4 <= jc {
-            let p0 = &before[kc * r..kc * r + r];
-            let p1 = &before[(kc + 1) * r..(kc + 1) * r + r];
-            let p2 = &before[(kc + 2) * r..(kc + 2) * r + r];
-            let p3 = &before[(kc + 3) * r..(kc + 3) * r + r];
-            let (l0, l1, l2, l3) = (p0[jc], p1[jc], p2[jc], p3[jc]);
-            for i in jc..r {
+            let p0 = panel_col(before, kc, r, jc);
+            let p1 = panel_col(before, kc + 1, r, jc);
+            let p2 = panel_col(before, kc + 2, r, jc);
+            let p3 = panel_col(before, kc + 3, r, jc);
+            let (l0, l1, l2, l3) = (p0[0], p1[0], p2[0], p3[0]);
+            for i in 0..col.len() {
                 col[i] -= p0[i] * l0 + p1[i] * l1 + p2[i] * l2 + p3[i] * l3;
             }
             kc += 4;
         }
         while kc < jc {
-            let p0 = &before[kc * r..kc * r + r];
-            let l0 = p0[jc];
-            for i in jc..r {
+            let p0 = panel_col(before, kc, r, jc);
+            let l0 = p0[0];
+            for i in 0..col.len() {
                 col[i] -= p0[i] * l0;
             }
             kc += 1;
         }
-        let pivot = col[jc];
+        let pivot = col[0];
         if pivot <= 0.0 || !pivot.is_finite() {
             failed = Some(s1 + jc);
             break;
         }
         let sq = pivot.sqrt();
-        col[jc] = sq;
-        for x in col[jc + 1..].iter_mut() {
+        col[0] = sq;
+        for x in col[1..].iter_mut() {
             *x /= sq;
         }
     }
@@ -600,38 +629,73 @@ fn factor_supernode_into<L: PanelLookup + ?Sized>(
     failed
 }
 
-/// Gathers the completed panels into the CSC factor along the exact
-/// symbolic pattern. Padded cells are exactly `±0.0` throughout the
-/// factorization (every product feeding one has an exactly-zero factor),
-/// so dropping them here loses nothing.
-fn panels_to_csc(
-    n: usize,
-    lcolptr: Vec<usize>,
-    lrowidx: Vec<usize>,
+/// Splits the packed value array into the supernodes' panels, end to
+/// end in supernode order.
+fn split_panels<'a>(part: &SupernodePartition, mut values: &'a mut [f64]) -> Vec<&'a mut [f64]> {
+    let mut panels = Vec::with_capacity(part.num_supernodes());
+    for s in 0..part.num_supernodes() {
+        let (panel, rest) = std::mem::take(&mut values).split_at_mut(part.panel_len(s));
+        panels.push(panel);
+        values = rest;
+    }
+    panels
+}
+
+/// Writes the lower triangle of `A` into the zeroed panels: entry
+/// `(j, k)` of the upper triangle `c` (`j <= k`) is `L`'s row `k` of
+/// column `j`. Every stored entry of `A` is in `L`'s pattern, so the
+/// search in the column's union rows always hits. Each panel then holds
+/// what the left-looking sweep expects before its first update.
+fn scatter_matrix(c: &CscMatrix, part: &SupernodePartition, panels: &mut [&mut [f64]]) {
+    for k in 0..c.ncols() {
+        let (ri, rv) = c.col(k);
+        for (&j, &v) in ri.iter().zip(rv.iter()) {
+            let s = part.sup_of[j];
+            let rows = part.rows(s);
+            let i = rows.binary_search(&k).expect("A's pattern must be inside L's");
+            panels[s][col_base(j - part.first_col[s], rows.len()) + i] = v;
+        }
+    }
+}
+
+/// Turns the packed panels into the CSC values of `L`, in place: one
+/// ascending pass moves every factor entry from its panel cell to its
+/// slot along the exact symbolic pattern, then the array is cut to
+/// nnz(L). Padded cells are exactly `±0.0` throughout the factorization
+/// (every product feeding one has an exactly-zero factor), so dropping
+/// them loses nothing.
+///
+/// No entry moves up. A panel starts at or after its first column's CSC
+/// offset (only earlier padding separates them), a packed column is at
+/// least as long as the column's pattern, and the pattern is a subset of
+/// the column's panel rows in the same order. So every source cell is at
+/// or above its destination, and the ascending pass never reads a cell
+/// it has already overwritten.
+fn compact_panels(
     part: &SupernodePartition,
-    panels: &[Vec<f64>],
-) -> Result<CscMatrix, SparseError> {
-    let mut lvalues = vec![0.0f64; lrowidx.len()];
-    let mut relmap = vec![usize::MAX; n];
+    lcolptr: &[usize],
+    lrowidx: &[usize],
+    values: &mut Vec<f64>,
+) {
+    let mut panel_start = 0;
     for s in 0..part.num_supernodes() {
         let rows = part.rows(s);
         let r = rows.len();
-        let panel = &panels[s];
-        debug_assert_eq!(panel.len(), r * part.width(s));
-        for (i, &row) in rows.iter().enumerate() {
-            relmap[row] = i;
-        }
         for (jc, j) in part.cols(s).enumerate() {
-            let base = jc * r;
+            let src = panel_start + col_base(jc, r);
+            let mut i = jc;
             for p in lcolptr[j]..lcolptr[j + 1] {
-                lvalues[p] = panel[base + relmap[lrowidx[p]]];
+                while rows[i] < lrowidx[p] {
+                    i += 1;
+                }
+                debug_assert!(src + i >= p, "compaction must never read an overwritten cell");
+                values[p] = values[src + i];
             }
         }
-        for &row in rows {
-            relmap[row] = usize::MAX;
-        }
+        panel_start += part.panel_len(s);
     }
-    CscMatrix::from_raw_parts(n, n, lcolptr, lrowidx, lvalues)
+    values.truncate(lrowidx.len());
+    values.shrink_to_fit();
 }
 
 /// Supernodal numeric factorization of the upper triangle `c` of the
@@ -640,50 +704,63 @@ fn panels_to_csc(
 /// from the [`SymbolicCholesky::schedule`] run whole supernodes
 /// concurrently and the serial tail finishes the top of the tree —
 /// bit-identical to the serial supernodal sweep at every thread count.
+///
+/// The panels are factored straight into the array that becomes the
+/// factor's CSC values (nnz(L) plus the padded cells), which
+/// [`compact_panels`] then compacts in place.
 pub(crate) fn numeric_supernodal(
     c: &CscMatrix,
     symbolic: &SymbolicCholesky,
     threads: usize,
 ) -> Result<CscMatrix, SparseError> {
     let n = c.ncols();
-    let lcolptr: Vec<usize> = symbolic.lcolptr().to_vec();
+    let schedule = if threads > 1 && n >= crate::chol::PARALLEL_MIN_COLS {
+        let _sched = tracered_obs::span!("chol.schedule", { threads: threads });
+        Some(symbolic.schedule(threads)).filter(|s| s.jobs().len() > 1)
+    } else {
+        None
+    };
+    // The row structure is part of the numeric phase, as the scalar
+    // kernel's per-row `ereach` is.
+    let mut span = tracered_obs::span!("chol.numeric", { n: n, nnz: symbolic.factor_nnz() });
     let lrowidx = factor_structure(c, symbolic);
     let part = SupernodePartition::from_structure(symbolic, &lrowidx);
-    let lower = c.transpose();
     let updates = build_updates(&part);
-    if threads > 1 && n >= crate::chol::PARALLEL_MIN_COLS {
-        numeric_supernodal_parallel(symbolic, &lower, lcolptr, lrowidx, &part, &updates, threads)
-    } else {
-        let _span = tracered_obs::span!("chol.numeric", {
-            n: n,
-            nnz: symbolic.factor_nnz(),
-            supernodes: part.num_supernodes()
-        });
-        let panels = supernodal_serial(n, &lower, &part, &updates)?;
-        panels_to_csc(n, lcolptr, lrowidx, &part, &panels)
+    if let Some(g) = span.as_mut() {
+        g.arg("supernodes", part.num_supernodes() as f64);
     }
+    let mut values = vec![0.0f64; symbolic.factor_nnz() + part.padded_cells()];
+    let mut panels = split_panels(&part, &mut values);
+    scatter_matrix(c, &part, &mut panels);
+    match &schedule {
+        Some(schedule) => {
+            if let Some(g) = span.as_mut() {
+                g.arg("jobs", schedule.jobs().len() as f64);
+            }
+            supernodal_parallel(schedule, &part, &updates, &mut panels, threads)?;
+        }
+        None => supernodal_serial(&part, &updates, &mut panels)?,
+    }
+    compact_panels(&part, symbolic.lcolptr(), &lrowidx, &mut values);
+    CscMatrix::from_raw_parts(n, n, symbolic.lcolptr().to_vec(), lrowidx, values)
 }
 
 /// Serial left-looking sweep over all supernodes, ascending.
 fn supernodal_serial(
-    n: usize,
-    lower: &CscMatrix,
     part: &SupernodePartition,
     updates: &[Vec<(usize, usize)>],
-) -> Result<Vec<Vec<f64>>, SparseError> {
-    let nsup = part.num_supernodes();
-    let mut panels: Vec<Vec<f64>> = vec![Vec::new(); nsup];
-    let mut relmap = vec![usize::MAX; n];
-    let mut wbuf = vec![0.0f64; part.max_rows() * part.max_width()];
-    for s in 0..nsup {
+    panels: &mut [&mut [f64]],
+) -> Result<(), SparseError> {
+    let mut relmap = vec![usize::MAX; part.n()];
+    let mut wbuf = vec![0.0f64; 2 * part.max_rows()];
+    for s in 0..part.num_supernodes() {
         let (done, rest) = panels.split_at_mut(s);
         if let Some(column) = factor_supernode_into(
             s,
-            lower,
             part,
             &updates[s],
-            &done[..],
-            &mut rest[0],
+            &*done,
+            rest[0],
             &mut relmap,
             &mut wbuf,
             usize::MAX,
@@ -691,7 +768,7 @@ fn supernodal_serial(
             return Err(SparseError::NotPositiveDefinite { column });
         }
     }
-    Ok(panels)
+    Ok(())
 }
 
 /// Parallel supernodal factorization over the elimination-tree schedule.
@@ -707,31 +784,14 @@ fn supernodal_serial(
 /// mirror the scalar parallel path: jobs record their first failing
 /// pivot, the tail runs only columns below the minimum, and the smallest
 /// failing column — exactly the serial sweep's — is reported.
-#[allow(clippy::too_many_arguments)]
-fn numeric_supernodal_parallel(
-    symbolic: &SymbolicCholesky,
-    lower: &CscMatrix,
-    lcolptr: Vec<usize>,
-    lrowidx: Vec<usize>,
+fn supernodal_parallel(
+    schedule: &etree::EtreeSchedule,
     part: &SupernodePartition,
     updates: &[Vec<(usize, usize)>],
+    panels: &mut [&mut [f64]],
     threads: usize,
-) -> Result<CscMatrix, SparseError> {
-    let n = symbolic.n();
-    let schedule = {
-        let _sched = tracered_obs::span!("chol.schedule", { threads: threads });
-        symbolic.schedule(threads)
-    };
-    if schedule.jobs().len() <= 1 {
-        let _span = tracered_obs::span!("chol.numeric", {
-            n: n,
-            nnz: symbolic.factor_nnz(),
-            supernodes: part.num_supernodes()
-        });
-        let panels = supernodal_serial(n, lower, part, updates)?;
-        return panels_to_csc(n, lcolptr, lrowidx, part, &panels);
-    }
-
+) -> Result<(), SparseError> {
+    let n = part.n();
     let njobs = schedule.jobs().len();
     let mut owner = vec![usize::MAX; n];
     for (ji, job) in schedule.jobs().iter().enumerate() {
@@ -751,44 +811,33 @@ fn numeric_supernodal_parallel(
 
     let mut tail_cols = 0usize;
     let mut tail_snodes: Vec<usize> = Vec::new();
-    let mut panels: Vec<Vec<f64>> = vec![Vec::new(); nsup];
-    let mut job_items: Vec<Vec<(usize, &mut Vec<f64>)>> = (0..njobs).map(|_| Vec::new()).collect();
+    let mut job_items: Vec<Vec<(usize, &mut [f64])>> = (0..njobs).map(|_| Vec::new()).collect();
     for (s, p) in panels.iter_mut().enumerate() {
         if assign[s] == usize::MAX {
             tail_snodes.push(s);
             tail_cols += part.width(s);
         } else {
-            job_items[assign[s]].push((s, p));
+            job_items[assign[s]].push((s, &mut **p));
         }
     }
-
-    let _span = tracered_obs::span!("chol.numeric", {
-        n: n,
-        nnz: symbolic.factor_nnz(),
-        jobs: njobs,
-        tail_rows: tail_cols,
-        supernodes: nsup
-    });
 
     // --- Phase 1: subtree jobs factor their whole supernodes. ---
     // One unit of work: a job's (supernode, panel) list plus the slot
     // its first failing pivot (if any) is reported through.
-    type JobWork<'a> = (Vec<(usize, &'a mut Vec<f64>)>, &'a mut Option<usize>);
+    type JobWork<'a> = (Vec<(usize, &'a mut [f64])>, &'a mut Option<usize>);
     let mut job_fail: Vec<Option<usize>> = vec![None; njobs];
     let work: Vec<JobWork<'_>> = job_items.into_iter().zip(job_fail.iter_mut()).collect();
-    let max_rows = part.max_rows();
-    let max_width = part.max_width();
+    let wbuf_len = 2 * part.max_rows();
     tracered_par::par_jobs(work, threads, |(mut items, fail)| {
         let cols: usize = items.iter().map(|&(s, _)| part.width(s)).sum();
         let _job = tracered_obs::span!("chol.numeric.job", { cols: cols });
         let mut relmap = vec![usize::MAX; n];
-        let mut wbuf = vec![0.0f64; max_rows * max_width];
+        let mut wbuf = vec![0.0f64; wbuf_len];
         for i in 0..items.len() {
             let (done, rest) = items.split_at_mut(i);
             let s = rest[0].0;
             if let Some(column) = factor_supernode_into(
                 s,
-                lower,
                 part,
                 &updates[s],
                 &*done,
@@ -809,7 +858,7 @@ fn numeric_supernodal_parallel(
     // necessarily smaller and preempts it.
     let _tail = tracered_obs::span!("chol.numeric.tail", { rows: tail_cols });
     let mut relmap = vec![usize::MAX; n];
-    let mut wbuf = vec![0.0f64; max_rows * max_width];
+    let mut wbuf = vec![0.0f64; wbuf_len];
     for &s in &tail_snodes {
         let stop = first_failure.unwrap_or(usize::MAX);
         if part.first_col[s] >= stop {
@@ -818,11 +867,10 @@ fn numeric_supernodal_parallel(
         let (done, rest) = panels.split_at_mut(s);
         if let Some(column) = factor_supernode_into(
             s,
-            lower,
             part,
             &updates[s],
-            &done[..],
-            &mut rest[0],
+            &*done,
+            rest[0],
             &mut relmap,
             &mut wbuf,
             stop,
@@ -831,8 +879,8 @@ fn numeric_supernodal_parallel(
             first_failure = Some(column);
         }
     }
-    if let Some(column) = first_failure {
-        return Err(SparseError::NotPositiveDefinite { column });
+    match first_failure {
+        Some(column) => Err(SparseError::NotPositiveDefinite { column }),
+        None => Ok(()),
     }
-    panels_to_csc(n, lcolptr, lrowidx, part, &panels)
 }
