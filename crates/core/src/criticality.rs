@@ -22,25 +22,42 @@
 //!
 //! - [`tree_phase_scores`]: exact voltage propagation when `S` is a tree
 //!   (Eqs. 13–15) — current flows only along the unique `p→q` tree path,
-//!   so node voltages follow from BFS with the path edges marked;
+//!   so node voltages follow from a BFS that drops the voltage across path
+//!   edges. A tree edge is on the path exactly when one of `p`, `q` lies
+//!   in the subtree below it, which the tree's preorder intervals answer
+//!   in `O(1)` ([`RootedTree::is_ancestor`]); no path is walked.
 //! - [`subgraph_phase_scores`]: general subgraphs via the sparse
-//!   approximate inverse `Z̃ ≈ L⁻¹` of the Cholesky factor (Eq. 20).
+//!   approximate inverse `Z̃ ≈ L⁻¹` of the Cholesky factor (Eq. 20). Each
+//!   call first builds a flat table of every node's β-ball in the
+//!   subgraph, in BFS order, so a node's ball is computed once per call
+//!   instead of once per incident candidate. Per candidate, `z̃_pq` is
+//!   scattered densely, `q`'s ball is stamped from the table, `p`'s ball
+//!   is walked from it, and each node voltage `z̃_iᵀ z̃_pq` is computed at
+//!   most once (memoized under the candidate's stamp).
+//!
+//! Both keep the summation order of the plain evaluators — `p`'s ball in
+//! BFS order, then each node's adjacency order, each cross edge counted
+//! once — so the scores are bit-identical to walking the path and running
+//! a fresh BFS per candidate (`crates/core/tests/scoring_oracle.rs` holds
+//! them to such a reference under `to_bits`).
 //!
 //! # Parallel evaluation
 //!
 //! Each candidate's score depends only on read-only shared state (graph,
-//! tree, factor, approximate inverse) plus private scratch, so scoring is
-//! embarrassingly parallel. The `_threads` variants
+//! tree, factor, approximate inverse, ball table) plus private scratch,
+//! so scoring is embarrassingly parallel. The `_threads` variants
 //! ([`tree_phase_scores_threads`], [`subgraph_phase_scores_threads`])
 //! fan candidates out over a work-stealing chunk scheduler
 //! ([`tracered_par`]) with one scratch arena per worker; outputs stay
 //! index-aligned and **bit-identical** to the serial path for every
 //! thread count, because each score is computed by exactly the same
-//! per-candidate code either way.
+//! per-candidate code either way. The ball table is built on the same
+//! workers in node chunks concatenated in chunk order, so it too is the
+//! same at every thread count.
 
-use std::collections::VecDeque;
-
+use tracered_graph::tree::NO_NODE;
 use tracered_graph::{Graph, RootedTree};
+use tracered_sparse::sparsevec::{dot, dot_dense};
 use tracered_sparse::{ApproxInverse, CholeskyFactor};
 
 /// Minimum candidates per chunk: a β-layer BFS costs far more than queue
@@ -51,29 +68,14 @@ const MIN_CHUNK: usize = 16;
 /// Reusable scratch for tree-phase scoring — one arena per worker.
 struct TreeScratch {
     stamp: u64,
-    member_p: Vec<u64>,
-    member_q: Vec<u64>,
-    volt_p: Vec<f64>,
-    volt_q: Vec<f64>,
-    path_stamp: Vec<u64>,
+    p: TreeBall,
+    q: TreeBall,
     edge_stamp: Vec<u64>,
-    nbr_p: Vec<usize>,
-    queue: VecDeque<(usize, usize)>,
 }
 
 impl TreeScratch {
     fn new(n: usize, m: usize) -> Self {
-        TreeScratch {
-            stamp: 0,
-            member_p: vec![0; n],
-            member_q: vec![0; n],
-            volt_p: vec![0.0; n],
-            volt_q: vec![0.0; n],
-            path_stamp: vec![0; m],
-            edge_stamp: vec![0; m],
-            nbr_p: Vec::new(),
-            queue: VecDeque::new(),
-        }
+        TreeScratch { stamp: 0, p: TreeBall::new(n), q: TreeBall::new(n), edge_stamp: vec![0; m] }
     }
 
     /// Recycling factory for the pool's per-worker scratch cache: a
@@ -83,7 +85,7 @@ impl TreeScratch {
     /// graph, other densification level) is rebuilt from scratch.
     fn recycle(cached: Option<Self>, n: usize, m: usize) -> Self {
         match cached {
-            Some(s) if s.member_p.len() == n && s.path_stamp.len() == m => s,
+            Some(s) if s.p.member.len() == n && s.edge_stamp.len() == m => s,
             _ => TreeScratch::new(n, m),
         }
     }
@@ -103,51 +105,20 @@ fn tree_phase_score_one(
     let (p, q, w) = (e.u, e.v, e.weight);
     s.stamp += 1;
     let stamp = s.stamp;
-    // Mark the unique tree path p→q.
-    for pe in tree.path_edges(p, q) {
-        s.path_stamp[pe] = stamp;
-    }
     // BFS β layers from p in the tree; v(p) = R, dropping across path
     // edges only (Eq. 13).
-    s.nbr_p.clear();
-    tree_bfs_voltages(
-        g,
-        tree,
-        p,
-        beta,
-        r,
-        -1.0,
-        stamp,
-        &s.path_stamp,
-        &mut s.member_p,
-        &mut s.volt_p,
-        &mut s.queue,
-        Some(&mut s.nbr_p),
-    );
+    s.p.fill(g, tree, (p, q), p, beta, r, -1.0, stamp);
     // BFS β layers from q; v(q) = 0, rising across path edges (Eq. 14).
-    tree_bfs_voltages(
-        g,
-        tree,
-        q,
-        beta,
-        0.0,
-        1.0,
-        stamp,
-        &s.path_stamp,
-        &mut s.member_q,
-        &mut s.volt_q,
-        &mut s.queue,
-        None,
-    );
+    s.q.fill(g, tree, (p, q), q, beta, 0.0, 1.0, stamp);
     // Σ over graph edges (i, j) with i ∈ N(p, β), j ∈ N(q, β).
     let mut sum = 0.0;
-    for &i in &s.nbr_p {
+    for &i in &s.p.ball {
         for &(j, cross_eid) in g.neighbors(i) {
-            if s.member_q[j] != stamp || s.edge_stamp[cross_eid] == stamp {
+            if s.q.member[j] != stamp || s.edge_stamp[cross_eid] == stamp {
                 continue;
             }
             s.edge_stamp[cross_eid] = stamp;
-            let drop = s.volt_p[i] - s.volt_q[j];
+            let drop = s.p.volt[i] - s.q.volt[j];
             sum += g.edge(cross_eid).weight * drop * drop;
         }
     }
@@ -181,7 +152,7 @@ pub fn tree_phase_scores(
 /// [`tree_phase_scores`] evaluated on `threads` workers.
 ///
 /// Candidates are chunked onto a work-stealing queue; each worker owns a
-/// private scratch arena (stamps, voltages, BFS queue), so scores are
+/// private scratch arena (stamps, voltages, balls), so scores are
 /// bit-identical to the serial path in the original candidate order.
 ///
 /// # Panics
@@ -215,57 +186,68 @@ pub fn tree_phase_scores_threads(
     scores
 }
 
-/// BFS over the tree adjacency (parent + children links), assigning node
-/// voltages per Eqs. 13–14: the voltage changes by `sign / w_edge` across
-/// path edges and is copied verbatim across non-path edges.
-#[allow(clippy::too_many_arguments)]
-fn tree_bfs_voltages(
-    g: &Graph,
-    tree: &RootedTree,
-    start: usize,
-    beta: usize,
-    start_voltage: f64,
-    sign: f64,
-    stamp: u64,
-    path_stamp: &[u64],
-    member: &mut [u64],
-    volt: &mut [f64],
-    queue: &mut VecDeque<(usize, usize)>,
-    mut collect: Option<&mut Vec<usize>>,
-) {
-    member[start] = stamp;
-    volt[start] = start_voltage;
-    if let Some(list) = collect.as_deref_mut() {
-        list.push(start);
+/// One endpoint's side of a tree-phase candidate: visit marks, node
+/// voltages, and the ball in BFS order, which doubles as the BFS queue.
+struct TreeBall {
+    member: Vec<u64>,
+    volt: Vec<f64>,
+    ball: Vec<usize>,
+}
+
+impl TreeBall {
+    fn new(n: usize) -> Self {
+        TreeBall { member: vec![0; n], volt: vec![0.0; n], ball: Vec::new() }
     }
-    queue.clear();
-    queue.push_back((start, 0));
-    while let Some((x, d)) = queue.pop_front() {
-        if d == beta {
-            continue;
-        }
-        // Tree neighbours of x: its parent and its children.
-        let parent = tree.parent(x);
-        let parent_iter = if parent != tracered_graph::tree::NO_NODE {
-            Some((parent, tree.parent_edge(x)))
-        } else {
-            None
-        };
-        let children_iter = tree.children(x).iter().map(|&c| (c, tree.parent_edge(c)));
-        for (nbr, tree_edge) in parent_iter.into_iter().chain(children_iter) {
-            if member[nbr] == stamp {
-                continue;
+
+    /// Level-synchronous BFS over the tree adjacency (parent first, then
+    /// children) from `start`, `beta` levels deep, assigning node
+    /// voltages per Eqs. 13–14: the voltage changes by `sign / w_edge`
+    /// across edges of the `p`–`q` path and is copied verbatim across
+    /// the others. The edge above child `c` is on the path exactly when
+    /// one of `p`, `q` lies in `c`'s subtree.
+    #[allow(clippy::too_many_arguments)]
+    fn fill(
+        &mut self,
+        g: &Graph,
+        tree: &RootedTree,
+        (p, q): (usize, usize),
+        start: usize,
+        beta: usize,
+        start_voltage: f64,
+        sign: f64,
+        stamp: u64,
+    ) {
+        self.member[start] = stamp;
+        self.volt[start] = start_voltage;
+        self.ball.clear();
+        self.ball.push(start);
+        let mut level = 0..1;
+        for _ in 0..beta {
+            for at in level.clone() {
+                let x = self.ball[at];
+                let vx = self.volt[x];
+                // Tree neighbours of x, each with the child end `c` of
+                // the edge joining them: the parent, then the children.
+                let parent = tree.parent(x);
+                let up = (parent != NO_NODE).then_some((parent, x));
+                let down = tree.children(x).iter().map(|&c| (c, c));
+                for (nbr, c) in up.into_iter().chain(down) {
+                    if self.member[nbr] == stamp {
+                        continue;
+                    }
+                    self.member[nbr] = stamp;
+                    self.volt[nbr] = if tree.is_ancestor(c, p) != tree.is_ancestor(c, q) {
+                        vx + sign / g.edge(tree.parent_edge(c)).weight
+                    } else {
+                        vx
+                    };
+                    self.ball.push(nbr);
+                }
             }
-            member[nbr] = stamp;
-            volt[nbr] = if path_stamp[tree_edge] == stamp {
-                volt[x] + sign / g.edge(tree_edge).weight
-            } else {
-                volt[x]
-            };
-            if let Some(list) = collect.as_deref_mut() {
-                list.push(nbr);
+            level = level.end..self.ball.len();
+            if level.is_empty() {
+                break;
             }
-            queue.push_back((nbr, d + 1));
         }
     }
 }
@@ -297,15 +279,95 @@ pub fn subgraph_phase_scores(
     subgraph_phase_scores_threads(g, subgraph, factor, zinv, candidates, beta, 1)
 }
 
+/// Every node's β-ball in the subgraph, in the order a FIFO BFS visits
+/// it: ball `v` is `nodes[offsets[v]..offsets[v + 1]]`. It holds
+/// `Σ_v |ball(v)|` entries, so its size grows with β like the work of
+/// the per-candidate BFS it replaces. Node ids fit in `u32` because the
+/// approximate inverse it is scored with does.
+struct BallTable {
+    offsets: Vec<usize>,
+    nodes: Vec<u32>,
+}
+
+impl BallTable {
+    /// Builds the table on `threads` workers, one node chunk per thread,
+    /// and concatenates the chunks in node order.
+    fn build(subgraph: &Graph, beta: usize, threads: usize, m: usize) -> Self {
+        let n = subgraph.num_nodes();
+        let chunk = n.div_ceil(threads.max(1)).max(1);
+        let mut parts: Vec<(Vec<u32>, Vec<usize>)> = vec![Default::default(); n.div_ceil(chunk)];
+        tracered_par::par_chunks_mut_scratch(
+            &mut parts,
+            1,
+            threads,
+            |cached| SubgraphScratch::recycle(cached, n, m),
+            |scratch, k, out| {
+                let (nodes, ends) = &mut out[0];
+                for v in k * chunk..n.min((k + 1) * chunk) {
+                    scratch.stamp += 1;
+                    push_ball(subgraph, v, beta, scratch.stamp, &mut scratch.member_q, nodes);
+                    ends.push(nodes.len());
+                }
+            },
+        );
+        let mut parts = parts.into_iter();
+        let (mut nodes, ends) = parts.next().unwrap_or_default();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        offsets.extend(ends);
+        for (more, ends) in parts {
+            let base = nodes.len();
+            offsets.extend(ends.iter().map(|&e| base + e));
+            nodes.extend_from_slice(&more);
+        }
+        BallTable { offsets, nodes }
+    }
+
+    fn ball(&self, v: usize) -> &[u32] {
+        &self.nodes[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+/// Appends the nodes within `beta` hops of `start` in `subgraph` to
+/// `out` in FIFO-BFS order, by a level-synchronous sweep that uses `out`
+/// itself as the queue.
+fn push_ball(
+    subgraph: &Graph,
+    start: usize,
+    beta: usize,
+    stamp: u64,
+    member: &mut [u64],
+    out: &mut Vec<u32>,
+) {
+    member[start] = stamp;
+    let mut level = out.len()..out.len() + 1;
+    out.push(start as u32);
+    for _ in 0..beta {
+        for at in level.clone() {
+            for &(nbr, _) in subgraph.neighbors(out[at] as usize) {
+                if member[nbr] != stamp {
+                    member[nbr] = stamp;
+                    out.push(nbr as u32);
+                }
+            }
+        }
+        level = level.end..out.len();
+        if level.is_empty() {
+            break;
+        }
+    }
+}
+
 /// Reusable scratch for subgraph-phase scoring — one arena per worker.
 struct SubgraphScratch {
     stamp: u64,
-    member_p: Vec<u64>,
+    /// Marks `q`'s ball per candidate; BFS marks while building balls.
     member_q: Vec<u64>,
     edge_stamp: Vec<u64>,
-    nbr_p: Vec<usize>,
-    nbr_q: Vec<usize>,
-    queue: VecDeque<(usize, usize)>,
+    /// Memoized node voltages `z̃_iᵀ z̃_pq`, valid where `volt_stamp`
+    /// equals the candidate's stamp.
+    volt_stamp: Vec<u64>,
+    volt: Vec<f64>,
     /// Dense scatter of z̃_pq (in permuted index space).
     zpq_dense: Vec<f64>,
     zpq_touched: Vec<usize>,
@@ -315,12 +377,10 @@ impl SubgraphScratch {
     fn new(n: usize, m: usize) -> Self {
         SubgraphScratch {
             stamp: 0,
-            member_p: vec![0; n],
             member_q: vec![0; n],
             edge_stamp: vec![0; m],
-            nbr_p: Vec::new(),
-            nbr_q: Vec::new(),
-            queue: VecDeque::new(),
+            volt_stamp: vec![0; n],
+            volt: vec![0.0; n],
             zpq_dense: vec![0.0; n],
             zpq_touched: Vec::new(),
         }
@@ -332,9 +392,19 @@ impl SubgraphScratch {
     /// same invariants as a fresh one.
     fn recycle(cached: Option<Self>, n: usize, m: usize) -> Self {
         match cached {
-            Some(s) if s.member_p.len() == n && s.edge_stamp.len() == m => s,
+            Some(s) if s.member_q.len() == n && s.edge_stamp.len() == m => s,
             _ => SubgraphScratch::new(n, m),
         }
+    }
+
+    /// The voltage `z̃_iᵀ z̃_pq` of node `i` (original id) for the current
+    /// candidate, computed on first use and memoized under its stamp.
+    fn voltage(&mut self, zinv: &ApproxInverse, old_to_new: &[usize], i: usize) -> f64 {
+        if self.volt_stamp[i] != self.stamp {
+            self.volt_stamp[i] = self.stamp;
+            self.volt[i] = dot_dense(zinv.column(old_to_new[i]), &self.zpq_dense);
+        }
+        self.volt[i]
     }
 }
 
@@ -342,55 +412,52 @@ impl SubgraphScratch {
 /// serial loop, shared verbatim by the serial and parallel paths).
 fn subgraph_phase_score_one(
     g: &Graph,
-    subgraph: &Graph,
-    factor: &CholeskyFactor,
     zinv: &ApproxInverse,
+    old_to_new: &[usize],
+    balls: &BallTable,
     eid: usize,
-    beta: usize,
     s: &mut SubgraphScratch,
 ) -> f64 {
-    let perm = factor.perm();
     let e = g.edge(eid);
     let (p, q, w) = (e.u, e.v, e.weight);
     s.stamp += 1;
     let stamp = s.stamp;
     // z̃_pq = z̃_p − z̃_q in permuted space.
-    let pp = perm.old_to_new(p);
-    let qq = perm.old_to_new(q);
-    let zp = zinv.column(pp);
-    let zq = zinv.column(qq);
+    let zp = zinv.column(old_to_new[p]);
+    let zq = zinv.column(old_to_new[q]);
     // Scatter and record touched entries for cheap clearing.
-    for (i, v) in zp.iter() {
+    for (&i, &v) in zp.0.iter().zip(zp.1) {
+        let i = i as usize;
         if s.zpq_dense[i] == 0.0 {
             s.zpq_touched.push(i);
         }
         s.zpq_dense[i] += v;
     }
-    for (i, v) in zq.iter() {
+    for (&i, &v) in zq.0.iter().zip(zq.1) {
+        let i = i as usize;
         if s.zpq_dense[i] == 0.0 {
             s.zpq_touched.push(i);
         }
         s.zpq_dense[i] -= v;
     }
     // R̃(p, q) = ‖z̃_pq‖² (since e_pqᵀ L_S⁻¹ e_pq = ‖L⁻¹ e_pq‖²).
-    let r_approx: f64 = zp.norm_sq() - 2.0 * zp.dot(zq) + zq.norm_sq();
-    // β-layer neighbourhoods in the subgraph.
-    s.nbr_p.clear();
-    s.nbr_q.clear();
-    subgraph_bfs(subgraph, p, beta, stamp, &mut s.member_p, &mut s.queue, &mut s.nbr_p);
-    subgraph_bfs(subgraph, q, beta, stamp, &mut s.member_q, &mut s.queue, &mut s.nbr_q);
+    let norm_sq = |values: &[f64]| -> f64 { values.iter().map(|v| v * v).sum() };
+    let r_approx = norm_sq(zp.1) - 2.0 * dot(zp, zq) + norm_sq(zq.1);
+    // β-layer neighbourhoods in the subgraph, from the table.
+    for &j in balls.ball(q) {
+        s.member_q[j as usize] = stamp;
+    }
     // Σ over graph edges (i, j), i ∈ N_S(p, β), j ∈ N_S(q, β).
     let mut sum = 0.0;
-    for &i in &s.nbr_p {
+    for &i in balls.ball(p) {
+        let i = i as usize;
         for &(j, cross_eid) in g.neighbors(i) {
             if s.member_q[j] != stamp || s.edge_stamp[cross_eid] == stamp {
                 continue;
             }
             s.edge_stamp[cross_eid] = stamp;
-            let ii = perm.old_to_new(i);
-            let jj = perm.old_to_new(j);
-            let di = zinv.column(ii).dot_dense(&s.zpq_dense);
-            let dj = zinv.column(jj).dot_dense(&s.zpq_dense);
+            let di = s.voltage(zinv, old_to_new, i);
+            let dj = s.voltage(zinv, old_to_new, j);
             let drop = di - dj;
             sum += g.edge(cross_eid).weight * drop * drop;
         }
@@ -406,8 +473,9 @@ fn subgraph_phase_score_one(
 /// [`subgraph_phase_scores`] evaluated on `threads` workers.
 ///
 /// Same work-stealing decomposition and determinism contract as
-/// [`tree_phase_scores_threads`]: one scratch arena (stamps, BFS queue,
-/// z̃ scatter buffer) per worker, bit-identical index-aligned output.
+/// [`tree_phase_scores_threads`]: one scratch arena (stamps, voltage
+/// memo, z̃ scatter buffer) per worker, bit-identical index-aligned
+/// output. The β-ball table is built first, on the same workers.
 ///
 /// # Panics
 ///
@@ -425,7 +493,12 @@ pub fn subgraph_phase_scores_threads(
     assert_eq!(subgraph.num_nodes(), n, "subgraph must share the node set");
     assert_eq!(factor.n(), n, "factor dimension must match the graph");
     assert_eq!(zinv.n(), n, "approximate inverse dimension must match");
+    if candidates.is_empty() {
+        return Vec::new();
+    }
     let m = g.num_edges();
+    let old_to_new = factor.perm().as_old_to_new();
+    let balls = BallTable::build(subgraph, beta, threads, m);
     let mut scores = vec![0.0f64; candidates.len()];
     let chunk = tracered_par::chunk_size(candidates.len(), threads, MIN_CHUNK);
     tracered_par::par_chunks_mut_scratch(
@@ -436,47 +509,12 @@ pub fn subgraph_phase_scores_threads(
         |scratch, start, out| {
             for (off, slot) in out.iter_mut().enumerate() {
                 let k = start + off;
-                *slot = subgraph_phase_score_one(
-                    g,
-                    subgraph,
-                    factor,
-                    zinv,
-                    candidates[k],
-                    beta,
-                    scratch,
-                );
+                *slot =
+                    subgraph_phase_score_one(g, zinv, old_to_new, &balls, candidates[k], scratch);
             }
         },
     );
     scores
-}
-
-/// β-layer BFS over the subgraph, collecting members (exposed to tests).
-fn subgraph_bfs(
-    subgraph: &Graph,
-    start: usize,
-    beta: usize,
-    stamp: u64,
-    member: &mut [u64],
-    queue: &mut VecDeque<(usize, usize)>,
-    out: &mut Vec<usize>,
-) {
-    member[start] = stamp;
-    out.push(start);
-    queue.clear();
-    queue.push_back((start, 0));
-    while let Some((x, d)) = queue.pop_front() {
-        if d == beta {
-            continue;
-        }
-        for &(nbr, _) in subgraph.neighbors(x) {
-            if member[nbr] != stamp {
-                member[nbr] = stamp;
-                out.push(nbr);
-                queue.push_back((nbr, d + 1));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

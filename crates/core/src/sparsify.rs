@@ -13,6 +13,7 @@
 //!    (trace reduction scores through Algorithm 1's approximate factor
 //!    inverse, Eq. 20), and recover the next batch.
 
+use std::cell::OnceCell;
 use std::time::Duration;
 
 use tracered_graph::laplacian::{laplacian_with_shifts, subgraph_laplacian};
@@ -281,7 +282,10 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
     let budget =
         ((cfg.edge_fraction_value() * n as f64).round() as usize).min(st.off_tree_edges.len());
     let nr = cfg.num_iterations();
-    let lg = laplacian_with_shifts(g, &shifts);
+    // `L_G` is read only by GRASS, JL and trace tracking: assemble it on
+    // first use, never for trace reduction or effective resistance.
+    let lg = OnceCell::new();
+    let full_laplacian = || lg.get_or_init(|| laplacian_with_shifts(g, &shifts));
     let threads = tracered_par::effective_threads(cfg.threads_value());
     let factor_opts = FactorOptions {
         ordering: cfg.ordering_value(),
@@ -324,7 +328,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             let ls = subgraph_laplacian(g, &selected, &shifts);
             if let Ok(factor) = factorize_resilient(&ls, factor_opts, &mut stats) {
                 stats.trace_estimate = Some(crate::metrics::trace_proxy_hutchinson_threads(
-                    &lg,
+                    full_laplacian(),
                     &factor,
                     24,
                     cfg.seed_value() ^ iter_idx as u64,
@@ -332,6 +336,12 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 ));
             }
         }
+
+        // The current subgraph as a graph, built at most once per
+        // iteration: subgraph-phase scoring walks it and similarity
+        // exclusion marks on it.
+        let subgraph = OnceCell::new();
+        let subgraph_graph = || subgraph.get_or_init(|| g.edge_subgraph(&selected));
 
         // --- Score candidates against the current subgraph. ---
         let t_score = Timer::start("sparsify.score");
@@ -350,25 +360,34 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             tree_resistances_threads(&tree, &pairs, threads)
         };
         let scores: Vec<f64> = match cfg.method() {
-            Method::TraceReduction if iter_idx == 0 => tree_phase_scores_threads(
-                g,
-                &tree,
-                &candidates,
-                &tree_resistances(),
-                cfg.beta_value(),
-                threads,
-            ),
+            Method::TraceReduction if iter_idx == 0 => {
+                let rs = tree_resistances();
+                let _span = tracered_obs::span!("sparsify.score.tree", {
+                    candidates: candidates.len(),
+                });
+                tree_phase_scores_threads(g, &tree, &candidates, &rs, cfg.beta_value(), threads)
+            }
             Method::TraceReduction => {
                 let factor = subgraph_factor(&mut stats)?;
-                let zinv = ApproxInverse::build(
-                    factor.l(),
-                    SpaiOptions::with_threshold(cfg.spai_threshold_value()),
-                )?;
+                let zinv = {
+                    let mut span = tracered_obs::span!("sparsify.spai", { n: n });
+                    let zinv = ApproxInverse::build(
+                        factor.l(),
+                        SpaiOptions::with_threshold(cfg.spai_threshold_value()),
+                    )?;
+                    if let Some(s) = span.as_mut() {
+                        s.arg("nnz", zinv.nnz() as f64);
+                    }
+                    zinv
+                };
                 stats.spai_nnz = zinv.nnz();
-                let subgraph = g.edge_subgraph(&selected);
+                let subgraph = subgraph_graph();
+                let _span = tracered_obs::span!("sparsify.score.subgraph", {
+                    candidates: candidates.len(),
+                });
                 subgraph_phase_scores_threads(
                     g,
-                    &subgraph,
+                    subgraph,
                     &factor,
                     &zinv,
                     &candidates,
@@ -387,7 +406,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 let factor = subgraph_factor(&mut stats)?;
                 grass_scores_threads(
                     g,
-                    &lg,
+                    full_laplacian(),
                     &factor,
                     &candidates,
                     cfg.grass_power_steps_value(),
@@ -402,7 +421,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 // expense the paper's introduction calls out. Single-pass
                 // method: later iterations keep the full-graph ranking.
                 let t_factor = Timer::start("sparsify.factor");
-                let full_factor = factorize_resilient(&lg, factor_opts, &mut stats)?;
+                let full_factor = factorize_resilient(full_laplacian(), factor_opts, &mut stats)?;
                 stats.factor_time = t_factor.stop();
                 crate::jl::jl_scores(
                     g,
@@ -424,7 +443,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
         let mut picked = 0usize;
         if cfg.similarity_exclusion_enabled() {
             excl.begin_iteration();
-            let mark_graph = g.edge_subgraph(&selected);
+            let mark_graph = subgraph_graph();
             for &ci in &order {
                 if picked == quota {
                     break;
@@ -436,7 +455,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 }
                 picked_flags[ci] = true;
                 picked += 1;
-                excl.mark_recovered(&mark_graph, e.u, e.v);
+                excl.mark_recovered(mark_graph, e.u, e.v);
             }
         }
         // Honour the budget even when exclusion filtered too aggressively

@@ -195,7 +195,15 @@ mod tests {
         let pairs = [(6, 5), (3, 4), (6, 4)];
         let rs = tree_resistances(&t, &pairs);
         for (k, &(p, q)) in pairs.iter().enumerate() {
-            let manual: f64 = t.path_edges(p, q).iter().map(|&id| 1.0 / g.edge(id).weight).sum();
+            // Climb both endpoints to their LCA, summing 1/w on the way.
+            let lca = t.lca_by_climbing(p, q);
+            let mut manual = 0.0;
+            for mut v in [p, q] {
+                while v != lca {
+                    manual += 1.0 / g.edge(t.parent_edge(v)).weight;
+                    v = t.parent(v);
+                }
+            }
             assert!((rs[k] - manual).abs() < 1e-12, "pair ({p},{q})");
         }
     }

@@ -4,8 +4,10 @@
 //! resistor network: the effective resistance between `p` and `q` is the
 //! sum of `1/w` along the unique tree path, and the BFS voltage
 //! propagation of its Eqs. 13–14 needs to test whether an edge lies on
-//! that path. [`RootedTree`] precomputes parent pointers, depths and
-//! resistance-to-root prefix sums to answer both in `O(path length)`.
+//! that path. [`RootedTree`] precomputes parent pointers, depths,
+//! resistance-to-root prefix sums and preorder intervals: the first
+//! answers resistances in `O(path length)`, the last answers the on-path
+//! test in `O(1)` (see [`RootedTree::is_ancestor`]).
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -14,6 +16,15 @@ use crate::graph::Graph;
 pub const NO_NODE: usize = usize::MAX;
 
 /// A spanning tree of a graph, rooted and preprocessed for path queries.
+///
+/// Besides parents, depths and resistances, the tree records each node's
+/// preorder interval `[tin, tout)`: `tin` numbers the nodes in a
+/// depth-first preorder that visits children in [`RootedTree::children`]
+/// order, and `tout = tin + subtree size`. A node's subtree is exactly the
+/// nodes whose `tin` falls in its interval, so
+/// [`RootedTree::is_ancestor`] is two comparisons. The tree edge above a
+/// child `c` lies on the `p`–`q` path exactly when one of `p`, `q` is in
+/// `c`'s subtree and the other is not.
 ///
 /// # Example
 ///
@@ -26,6 +37,8 @@ pub const NO_NODE: usize = usize::MAX;
 /// // Path resistance 0→2 is 1/1 + 1/0.5 = 3.
 /// let lca = tree.lca_by_climbing(0, 2);
 /// assert!((tree.resistance_between(0, 2, lca) - 3.0).abs() < 1e-12);
+/// // The edge above node 1 is on the 0–2 path: 2 is below 1, 0 is not.
+/// assert!(tree.is_ancestor(1, 2) != tree.is_ancestor(1, 0));
 /// # Ok(())
 /// # }
 /// ```
@@ -42,6 +55,11 @@ pub struct RootedTree {
     /// Children lists, needed by iterative DFS consumers (Tarjan LCA).
     child_offsets: Vec<usize>,
     children: Vec<usize>,
+    /// Preorder entry number of each node.
+    tin: Vec<usize>,
+    /// `tin` plus the subtree size: the subtree of `v` is the nodes with
+    /// `tin` in `tin[v]..tout[v]`.
+    tout: Vec<usize>,
 }
 
 impl RootedTree {
@@ -128,6 +146,23 @@ impl RootedTree {
                 cnext[parent[v]] += 1;
             }
         }
+        // Preorder intervals: subtree sizes bottom-up, then entry numbers
+        // top-down, each child block placed after its earlier siblings'.
+        let mut tout = vec![1usize; n];
+        for &v in order.iter().rev() {
+            if parent[v] != NO_NODE {
+                tout[parent[v]] += tout[v];
+            }
+        }
+        let mut tin = vec![0usize; n];
+        for &v in &order {
+            let mut next = tin[v] + 1;
+            for &c in &children[child_offsets[v]..child_offsets[v + 1]] {
+                tin[c] = next;
+                next += tout[c];
+            }
+            tout[v] += tin[v];
+        }
         Ok(RootedTree {
             root,
             parent,
@@ -137,6 +172,8 @@ impl RootedTree {
             order,
             child_offsets,
             children,
+            tin,
+            tout,
         })
     }
 
@@ -208,29 +245,16 @@ impl RootedTree {
         self.resistance_to_root[p] + self.resistance_to_root[q] - 2.0 * self.resistance_to_root[lca]
     }
 
-    /// Edge ids of the unique tree path from `p` to `q` (in order from `p`
-    /// up to the LCA, then down to `q`).
+    /// Whether `a` is an ancestor of `v` (every node is its own
+    /// ancestor), by the preorder intervals in `O(1)`.
     ///
     /// # Panics
     ///
     /// Panics if a node is out of bounds.
-    pub fn path_edges(&self, p: usize, q: usize) -> Vec<usize> {
-        let lca = self.lca_by_climbing(p, q);
-        let mut up = Vec::new();
-        let mut v = p;
-        while v != lca {
-            up.push(self.parent_edge[v]);
-            v = self.parent[v];
-        }
-        let mut down = Vec::new();
-        let mut w = q;
-        while w != lca {
-            down.push(self.parent_edge[w]);
-            w = self.parent[w];
-        }
-        down.reverse();
-        up.extend(down);
-        up
+    #[inline]
+    pub fn is_ancestor(&self, a: usize, v: usize) -> bool {
+        let t = self.tin[v];
+        self.tin[a] <= t && t < self.tout[a]
     }
 }
 
@@ -282,23 +306,77 @@ mod tests {
         assert!((t.resistance_between(3, 4, 1) - 6.5).abs() < 1e-12);
     }
 
+    /// Parent edges of the children whose subtree holds exactly one of
+    /// `p`, `q`: the tree path's edges, by the preorder-interval test.
+    fn on_path_edges(t: &RootedTree, p: usize, q: usize) -> Vec<usize> {
+        (0..t.num_nodes())
+            .filter(|&c| t.parent(c) != NO_NODE && t.is_ancestor(c, p) != t.is_ancestor(c, q))
+            .map(|c| t.parent_edge(c))
+            .collect()
+    }
+
     #[test]
     fn path_edges_connect_endpoints() {
         let (g, t) = sample();
-        let path = t.path_edges(3, 4);
+        let mut path = on_path_edges(&t, 3, 4);
         assert_eq!(path.len(), 3); // 3→2, 2→1, 1→4
                                    // Walk the path and confirm it leads from 3 to 4.
         let mut cur = 3usize;
-        for &eid in &path {
-            cur = g.edge(eid).other(cur);
+        while let Some(k) =
+            path.iter().position(|&eid| g.edge(eid).u == cur || g.edge(eid).v == cur)
+        {
+            cur = g.edge(path.swap_remove(k)).other(cur);
         }
+        assert!(path.is_empty());
         assert_eq!(cur, 4);
     }
 
     #[test]
     fn path_to_self_is_empty() {
         let (_, t) = sample();
-        assert!(t.path_edges(2, 2).is_empty());
+        assert!(on_path_edges(&t, 2, 2).is_empty());
+    }
+
+    #[test]
+    fn is_ancestor_agrees_with_parent_climbing() {
+        use crate::gen::{random_connected, WeightProfile};
+        use crate::mst::{spanning_tree, TreeKind};
+        let g = random_connected(60, 90, WeightProfile::Unit, 21);
+        let st = spanning_tree(&g, TreeKind::MaxEffectiveWeight).unwrap();
+        let t = RootedTree::build(&g, &st.tree_edges, 17).unwrap();
+        let n = t.num_nodes();
+        let ancestors = |mut v: usize| {
+            let mut out = vec![v];
+            while t.parent(v) != NO_NODE {
+                v = t.parent(v);
+                out.push(v);
+            }
+            out
+        };
+        for v in 0..n {
+            let up = ancestors(v);
+            for a in 0..n {
+                assert_eq!(t.is_ancestor(a, v), up.contains(&a), "is_ancestor({a}, {v})");
+            }
+        }
+        // The interval test marks exactly the edges met climbing from
+        // both endpoints to their LCA.
+        for p in 0..n {
+            for q in 0..n {
+                let lca = t.lca_by_climbing(p, q);
+                let mut climbed = Vec::new();
+                for mut v in [p, q] {
+                    while v != lca {
+                        climbed.push(t.parent_edge(v));
+                        v = t.parent(v);
+                    }
+                }
+                let mut marked = on_path_edges(&t, p, q);
+                climbed.sort_unstable();
+                marked.sort_unstable();
+                assert_eq!(marked, climbed, "path {p}–{q}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,10 @@ pub struct FiedlerResult {
 /// normalized every step, making the procedure immune to the dominant
 /// `s`-eigenpair `(s, 1)`.
 ///
+/// The steps run under one `eigen.fiedler` span (args `n`, `steps`;
+/// end-arg `inner_iterations`), which covers every caller: the direct
+/// and PCG bisections and the recursive k-way partitioner.
+///
 /// # Panics
 ///
 /// Panics if `n == 0` or `steps == 0`.
@@ -45,6 +49,7 @@ where
 {
     assert!(n > 0, "graph must be non-empty");
     assert!(steps > 0, "at least one inverse-power step is required");
+    let mut span = tracered_obs::span!("eigen.fiedler", { n: n, steps: steps });
     let mut rng = StdRng::seed_from_u64(seed);
     let mut x: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
     deflate_and_normalize(&mut x);
@@ -61,6 +66,9 @@ where
         }
         x = y;
         deflate_and_normalize(&mut x);
+    }
+    if let Some(g) = span.as_mut() {
+        g.arg("inner_iterations", total_inner as f64);
     }
     FiedlerResult { vector: x, shifted_eigenvalue, steps, total_inner_iterations: total_inner }
 }

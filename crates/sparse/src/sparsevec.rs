@@ -1,148 +1,46 @@
-//! Sparse vectors and a dense-workspace accumulator for sparse kernels.
+//! Sparse vectors as parallel `(index, value)` slices: the dot-product
+//! kernels the trace-reduction scoring runs on columns of
+//! [`crate::ApproxInverse`], and a dense-workspace accumulator that
+//! harvests pruned columns straight into such storage.
 
-/// A sparse vector stored as parallel `(index, value)` arrays with strictly
-/// increasing indices.
-///
-/// Used for the columns of the approximate inverse factor (paper's
-/// Algorithm 1) and for scattering/gathering in the trace-reduction kernels.
+/// Sparse–sparse dot product (merge join on indices) of two vectors
+/// given as `(indices, values)` slices with strictly increasing indices.
 ///
 /// # Example
 ///
 /// ```
-/// use tracered_sparse::sparsevec::SparseVec;
+/// use tracered_sparse::sparsevec::dot;
 ///
-/// let a = SparseVec::from_entries(4, vec![(0, 1.0), (2, 3.0)]);
-/// let b = SparseVec::from_entries(4, vec![(2, 2.0), (3, 5.0)]);
-/// assert_eq!(a.dot(&b), 6.0);
+/// let a: (&[u32], &[f64]) = (&[0, 2], &[1.0, 3.0]);
+/// let b: (&[u32], &[f64]) = (&[2, 3], &[2.0, 5.0]);
+/// assert_eq!(dot(a, b), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SparseVec {
-    dim: usize,
-    indices: Vec<usize>,
-    values: Vec<f64>,
+pub fn dot(a: (&[u32], &[f64]), b: (&[u32], &[f64])) -> f64 {
+    let ((ai, av), (bi, bv)) = (a, b);
+    let (mut i, mut j) = (0, 0);
+    let mut acc = 0.0;
+    while i < ai.len() && j < bi.len() {
+        match ai[i].cmp(&bi[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                acc += av[i] * bv[j];
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    acc
 }
 
-impl SparseVec {
-    /// An all-zero sparse vector of dimension `dim`.
-    pub fn zeros(dim: usize) -> Self {
-        SparseVec { dim, indices: Vec::new(), values: Vec::new() }
-    }
-
-    /// Builds a sparse vector from `(index, value)` entries.
-    ///
-    /// Entries are sorted and deduplicated by summation; exact zeros are
-    /// dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is `>= dim`.
-    pub fn from_entries(dim: usize, mut entries: Vec<(usize, f64)>) -> Self {
-        entries.sort_unstable_by_key(|&(i, _)| i);
-        let mut indices = Vec::with_capacity(entries.len());
-        let mut values = Vec::with_capacity(entries.len());
-        let mut iter = entries.into_iter().peekable();
-        while let Some((i, mut v)) = iter.next() {
-            assert!(i < dim, "index {i} out of bounds for dimension {dim}");
-            while let Some(&(j, w)) = iter.peek() {
-                if j == i {
-                    v += w;
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            if v != 0.0 {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        SparseVec { dim, indices, values }
-    }
-
-    /// Dimension of the vector.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Stored indices (strictly increasing).
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Stored values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Iterates over `(index, value)` pairs in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.indices.iter().copied().zip(self.values.iter().copied())
-    }
-
-    /// Sparse–sparse dot product (merge join on indices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn dot(&self, other: &SparseVec) -> f64 {
-        assert_eq!(self.dim, other.dim, "dimensions must match");
-        let (mut i, mut j) = (0, 0);
-        let mut acc = 0.0;
-        while i < self.indices.len() && j < other.indices.len() {
-            match self.indices[i].cmp(&other.indices[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += self.values[i] * other.values[j];
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Dot product against a dense vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dense.len() != self.dim()`.
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        assert_eq!(dense.len(), self.dim, "dimensions must match");
-        self.iter().map(|(i, v)| v * dense[i]).sum()
-    }
-
-    /// Returns `self - other` as a new sparse vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn sub(&self, other: &SparseVec) -> SparseVec {
-        assert_eq!(self.dim, other.dim, "dimensions must match");
-        let mut entries = Vec::with_capacity(self.nnz() + other.nnz());
-        entries.extend(self.iter());
-        entries.extend(other.iter().map(|(i, v)| (i, -v)));
-        SparseVec::from_entries(self.dim, entries)
-    }
-
-    /// Squared Euclidean norm.
-    pub fn norm_sq(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum()
-    }
-
-    /// Converts to a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim];
-        for (i, v) in self.iter() {
-            out[i] = v;
-        }
-        out
-    }
+/// Dot product of a sparse `(indices, values)` vector against a dense
+/// one, summed in index order.
+///
+/// # Panics
+///
+/// Panics if an index is out of bounds for `dense`.
+pub fn dot_dense(a: (&[u32], &[f64]), dense: &[f64]) -> f64 {
+    a.0.iter().zip(a.1).map(|(&i, &v)| v * dense[i as usize]).sum()
 }
 
 /// A dense workspace with a touched-index list, enabling O(nnz) sparse
@@ -150,8 +48,8 @@ impl SparseVec {
 ///
 /// This is the classic SPA (sparse accumulator) pattern from sparse matrix
 /// codes: `add` scatters into a dense buffer while recording first-touched
-/// indices; `gather_and_clear` harvests the result and resets only the
-/// touched positions.
+/// indices; [`Workspace::gather_into`] appends the result to a column
+/// store and resets only the touched positions.
 #[derive(Debug, Clone)]
 pub struct Workspace {
     dense: Vec<f64>,
@@ -198,23 +96,25 @@ impl Workspace {
         self.touched.iter().map(|&i| self.dense[i]).fold(0.0, f64::max)
     }
 
-    /// Harvests all touched entries with `|value| > threshold` into a
-    /// [`SparseVec`], then clears the workspace for reuse.
-    pub fn gather_and_clear(&mut self, threshold: f64) -> SparseVec {
+    /// Appends all touched entries with `|value| > threshold` to
+    /// `indices`/`values` in increasing index order, then clears the
+    /// workspace for reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a harvested index exceeds `u32::MAX`.
+    pub fn gather_into(&mut self, threshold: f64, indices: &mut Vec<u32>, values: &mut Vec<f64>) {
         self.touched.sort_unstable();
-        let mut indices = Vec::with_capacity(self.touched.len());
-        let mut values = Vec::with_capacity(self.touched.len());
         for &i in &self.touched {
             let v = self.dense[i];
             if v.abs() > threshold {
-                indices.push(i);
+                indices.push(u32::try_from(i).expect("workspace index fits in u32"));
                 values.push(v);
             }
             self.dense[i] = 0.0;
             self.flags[i] = false;
         }
         self.touched.clear();
-        SparseVec { dim: self.dense.len(), indices, values }
     }
 
     /// Clears the workspace without harvesting.
@@ -232,34 +132,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_entries_sorts_dedupes_drops_zero() {
-        let v = SparseVec::from_entries(5, vec![(3, 1.0), (1, 2.0), (3, -1.0), (0, 4.0)]);
-        assert_eq!(v.indices(), &[0, 1]);
-        assert_eq!(v.values(), &[4.0, 2.0]);
-    }
-
-    #[test]
     fn dot_merge_join() {
-        let a = SparseVec::from_entries(6, vec![(0, 1.0), (2, 2.0), (5, 3.0)]);
-        let b = SparseVec::from_entries(6, vec![(2, 4.0), (3, 9.0), (5, -1.0)]);
-        assert_eq!(a.dot(&b), 8.0 - 3.0);
-    }
-
-    #[test]
-    fn sub_and_norm() {
-        let a = SparseVec::from_entries(4, vec![(0, 1.0), (1, 2.0)]);
-        let b = SparseVec::from_entries(4, vec![(1, 2.0), (2, -1.0)]);
-        let d = a.sub(&b);
-        assert_eq!(d.indices(), &[0, 2]);
-        assert_eq!(d.values(), &[1.0, 1.0]);
-        assert_eq!(d.norm_sq(), 2.0);
+        let a: (&[u32], &[f64]) = (&[0, 2, 5], &[1.0, 2.0, 3.0]);
+        let b: (&[u32], &[f64]) = (&[2, 3, 5], &[4.0, 9.0, -1.0]);
+        assert_eq!(dot(a, b), 8.0 - 3.0);
+        assert_eq!(dot(a, (&[], &[])), 0.0);
     }
 
     #[test]
     fn dense_roundtrip() {
-        let a = SparseVec::from_entries(4, vec![(1, 5.0), (3, -2.0)]);
-        assert_eq!(a.to_dense(), vec![0.0, 5.0, 0.0, -2.0]);
-        assert_eq!(a.dot_dense(&[1.0, 1.0, 1.0, 1.0]), 3.0);
+        let a: (&[u32], &[f64]) = (&[1, 3], &[5.0, -2.0]);
+        let mut dense = vec![0.0; 4];
+        for (&i, &v) in a.0.iter().zip(a.1) {
+            dense[i as usize] = v;
+        }
+        assert_eq!(dense, vec![0.0, 5.0, 0.0, -2.0]);
+        assert_eq!(dot_dense(a, &[1.0, 1.0, 1.0, 1.0]), 3.0);
+        assert_eq!(dot_dense(a, &dense), dot(a, a));
     }
 
     #[test]
@@ -270,14 +159,15 @@ mod tests {
         w.add(3, 0.5);
         assert_eq!(w.touched_len(), 2);
         assert_eq!(w.max_value(), 2.0);
-        let v = w.gather_and_clear(0.0);
-        assert_eq!(v.indices(), &[1, 3]);
-        assert_eq!(v.values(), &[2.0, 1.5]);
-        // Reusable after clear.
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        w.gather_into(0.0, &mut idx, &mut val);
+        assert_eq!(idx, [1, 3]);
+        assert_eq!(val, [2.0, 1.5]);
+        // Reusable after clear; a second gather appends.
         assert_eq!(w.touched_len(), 0);
         w.add(0, 7.0);
-        let v2 = w.gather_and_clear(0.0);
-        assert_eq!(v2.indices(), &[0]);
+        w.gather_into(0.0, &mut idx, &mut val);
+        assert_eq!(idx, [1, 3, 0]);
     }
 
     #[test]
@@ -285,8 +175,9 @@ mod tests {
         let mut w = Workspace::new(4);
         w.add(0, 1.0);
         w.add(1, 0.001);
-        let v = w.gather_and_clear(0.01);
-        assert_eq!(v.indices(), &[0]);
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        w.gather_into(0.01, &mut idx, &mut val);
+        assert_eq!(idx, [0]);
         // Pruned position must still be reset.
         w.add(1, 0.0);
         assert_eq!(w.get(1), 0.0);

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tracered_sparse::ichol::IncompleteCholesky;
 use tracered_sparse::order::{nested_dissection, Ordering};
-use tracered_sparse::sparsevec::SparseVec;
+use tracered_sparse::sparsevec::{dot, dot_dense};
 use tracered_sparse::{
     ApproxInverse, CholeskyFactor, CooMatrix, CscMatrix, KernelVariant, MultiVec, Permutation,
     SpaiOptions,
@@ -167,8 +167,9 @@ proptest! {
         let f = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
         let z = ApproxInverse::build(f.l(), SpaiOptions::default()).unwrap();
         for j in 0..n {
-            for (i, v) in z.column(j).iter() {
-                prop_assert!(i >= j);
+            let (rows, values) = z.column(j);
+            for (&i, &v) in rows.iter().zip(values) {
+                prop_assert!(i as usize >= j);
                 prop_assert!(v >= 0.0);
             }
         }
@@ -190,16 +191,24 @@ proptest! {
         a in proptest::collection::vec((0usize..30, -5.0f64..5.0), 0..20),
         b in proptest::collection::vec((0usize..30, -5.0f64..5.0), 0..20),
     ) {
-        let sa = SparseVec::from_entries(30, a);
-        let sb = SparseVec::from_entries(30, b);
-        let dense_dot: f64 = sa
-            .to_dense()
-            .iter()
-            .zip(sb.to_dense().iter())
-            .map(|(x, y)| x * y)
-            .sum();
-        prop_assert!((sa.dot(&sb) - dense_dot).abs() < 1e-9);
-        prop_assert!((sa.dot_dense(&sb.to_dense()) - dense_dot).abs() < 1e-9);
+        // Accumulate duplicates densely, then keep the nonzeros in index
+        // order: the sorted (indices, values) layout the kernels expect.
+        let densify = |entries: &[(usize, f64)]| {
+            let mut dense = vec![0.0f64; 30];
+            for &(i, v) in entries {
+                dense[i] += v;
+            }
+            dense
+        };
+        let sparsify = |dense: &[f64]| -> (Vec<u32>, Vec<f64>) {
+            (0..30).filter(|&i| dense[i] != 0.0).map(|i| (i as u32, dense[i])).unzip()
+        };
+        let (da, db) = (densify(&a), densify(&b));
+        let (sa, sb) = (sparsify(&da), sparsify(&db));
+        let dense_dot: f64 = da.iter().zip(db.iter()).map(|(x, y)| x * y).sum();
+        let (ra, rb) = ((&sa.0[..], &sa.1[..]), (&sb.0[..], &sb.1[..]));
+        prop_assert!((dot(ra, rb) - dense_dot).abs() < 1e-9);
+        prop_assert!((dot_dense(ra, &db) - dense_dot).abs() < 1e-9);
     }
 
     #[test]

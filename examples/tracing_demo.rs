@@ -100,6 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sparsify",
         "sparsify.tree",
         "sparsify.iter",
+        "sparsify.spai",
+        "sparsify.score.tree",
+        "sparsify.score.subgraph",
         "chol.order",
         "chol.factorize",
         "chol.numeric",
