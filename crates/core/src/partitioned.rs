@@ -168,26 +168,6 @@ impl PartitionedConfig {
         self
     }
 
-    /// The per-partition sparsification configuration.
-    pub fn base_config(&self) -> &SparsifyConfig {
-        &self.base
-    }
-
-    /// The configured part count.
-    pub fn parts_value(&self) -> usize {
-        self.parts
-    }
-
-    /// The configured per-level inverse-power step count.
-    pub fn fiedler_steps_value(&self) -> usize {
-        self.fiedler_steps
-    }
-
-    /// The configured boundary policy.
-    pub fn boundary_value(&self) -> BoundaryPolicy {
-        self.boundary
-    }
-
     /// Validates parameter ranges (including the wrapped base config).
     ///
     /// # Errors

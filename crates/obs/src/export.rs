@@ -1,6 +1,7 @@
 //! The machine-readable JSON snapshot: span aggregates + registered
-//! instruments, one self-contained object the bench binaries embed in
-//! their `BENCH_*.json` records.
+//! instruments, one self-contained object. perfbench's `--trace 1` run
+//! writes it as the run's span tree (`span_tree_json` in
+//! `perfbench/src/calls.rs`).
 
 use crate::registry::AnyInstrument;
 use crate::trace::{escape, num_json, Trace};

@@ -17,7 +17,9 @@
 //! 3. **Exporters** — [`Recorder::chrome_trace_json`] (opens directly
 //!    in `chrome://tracing` / Perfetto), [`Recorder::report`] (plain
 //!    text hierarchy), and [`Recorder::snapshot_json`]
-//!    (machine-readable aggregate the bench binaries embed).
+//!    (machine-readable aggregate; perfbench's `--trace 1` run writes
+//!    it as its span tree, through `span_tree_json` in
+//!    `perfbench/src/calls.rs`).
 //!
 //! # Capturing a trace
 //!

@@ -33,12 +33,13 @@
 //! element from read-only shared inputs, so results are bit-identical
 //! for every thread count, including the serial path, which runs the
 //! exact same per-chunk closure in chunk order on the calling thread.
-//! Reductions ([`par_reduce_f64`]) combine per-chunk partial sums in
-//! chunk order, so they are deterministic for a given chunk size (though
-//! not bit-identical to an unchunked serial fold). The property tests in
-//! `tracered-core` (`parallel_equivalence`), `tracered-solver` (block
-//! PCG), and `tracered-partition` (partitioned determinism) pin this
-//! contract down at thread counts {1, 2, 4}.
+//! Reductions ([`par_reduce_f64`]) fold per-chunk partial sums from
+//! `+0.0` in chunk order on every path, so they are bit-identical for a
+//! given chunk size, down to the sign of a zero total (though not to an
+//! unchunked serial fold). The property tests in `tracered-core`
+//! (`parallel_equivalence`), `tracered-solver` (PCG and block PCG), and
+//! `tracered-partition` (partitioned determinism) pin this contract down
+//! at thread counts {1, 2, 4}.
 //!
 //! # Scratch reuse
 //!

@@ -351,7 +351,9 @@ impl Pool {
             let hi = (lo + chunk).min(len);
             slot[0] = body(lo, hi);
         });
-        let total = partials.iter().sum();
+        // Fold from +0.0 like the serial path: `Iterator::sum` starts from
+        // −0.0, which would flip the sign of an all-(−0.0) total.
+        let total = partials.iter().fold(0.0, |acc, &p| acc + p);
         scratch::store(ReducePartials(partials));
         total
     }

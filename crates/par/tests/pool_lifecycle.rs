@@ -56,6 +56,18 @@ fn pool_reuse_across_region_shapes() {
     assert_eq!(pool.threads_spawned(), 2);
 }
 
+/// The sign of a zero total is part of the bit-identity contract: four
+/// chunks that each sum to −0.0 combine to the same bits on one thread
+/// and on a pool with workers.
+#[test]
+fn reduce_of_negative_zeros_is_bit_identical_across_threads() {
+    let pool = Pool::new(4);
+    let serial = pool.reduce_f64(4, 1, 1, |_, _| -0.0);
+    let parallel = pool.reduce_f64(4, 1, 4, |_, _| -0.0);
+    assert_eq!(serial.to_bits(), 0.0f64.to_bits());
+    assert_eq!(parallel.to_bits(), serial.to_bits());
+}
+
 /// Nested regions: `par_chunks_mut` inside a `par_jobs` job — the shape
 /// of partition-parallel densification calling parallel scoring. Must
 /// complete (no deadlock) and stay bit-identical at every thread count.

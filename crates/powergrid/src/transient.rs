@@ -59,8 +59,9 @@ pub struct TransientConfig {
     /// Time-integration scheme (paper default: backward Euler).
     pub scheme: IntegrationScheme,
     /// Worker threads for the PCG kernels (SpMV/SpMM, reductions, fused
-    /// vector updates). `1` preserves the exact serial arithmetic; larger
-    /// values route through the parallel kernels of `tracered_sparse`.
+    /// vector updates of `tracered_sparse`). Every count runs the same
+    /// kernels, `1` with no workers, so waveforms and iteration counts
+    /// are bit-identical at every count.
     pub threads: usize,
     /// Worker threads for the direct engine's matrix factorizations
     /// (`G + C/h` and the DC operating point): independent

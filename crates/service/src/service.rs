@@ -32,9 +32,9 @@ pub struct ServiceConfig {
     /// at the head of the queue. Zero disables lingering: batches only
     /// form from requests that are already queued together.
     pub max_linger: Duration,
-    /// Worker threads for the PCG kernels. Part of the arithmetic
-    /// contract: responses are bit-identical to solo solves *at the same
-    /// thread count*, so equivalence checks must hold this fixed.
+    /// Worker threads for the PCG kernels. The kernels are bit-identical
+    /// at every thread count, so this changes only wall-clock time,
+    /// never a response.
     pub solver_threads: usize,
     /// Worker threads for factorizations (context builds and the lazy
     /// direct factor). Factorization is bit-identical at every count.

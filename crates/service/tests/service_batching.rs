@@ -5,8 +5,8 @@
 //!
 //! CI runs this suite under `TRACERED_THREADS=1` and
 //! `TRACERED_THREADS=4`; the service's `solver_threads` follows the
-//! global pool size, so both the serial and the parallel kernels are
-//! exercised.
+//! global pool size, so the kernels run both without and with pool
+//! workers.
 
 #![allow(clippy::unwrap_used)]
 

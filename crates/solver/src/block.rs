@@ -4,21 +4,22 @@
 //! Power-grid transient analysis solves `A x = b` against many right-hand
 //! sides per timestep (one per source scenario). [`block_pcg`] advances
 //! all of them together: every iteration performs **one** SpMM
-//! ([`CscMatrix::mul_multi_into`]) and **one** multi-column preconditioner
-//! apply ([`Preconditioner::apply_multi`]) instead of `k` separate SpMVs
-//! and triangular-solve rounds, so the sparse operands are streamed once
-//! per batch.
+//! ([`CscMatrix::sym_mul_multi_into_threads`], whose (column, row-range)
+//! tiles read `A` once per column) and **one** multi-column
+//! preconditioner apply ([`Preconditioner::apply_multi`]), which streams
+//! the preconditioner's factor once per batch instead of once per
+//! column.
 //!
 //! # Equivalence contract
 //!
 //! Columns do **not** share Krylov information: each carries its own
 //! `α`/`β`/residual recurrence, so column `j` of a batch solve performs
 //! exactly the arithmetic of [`crate::pcg::pcg_with_guess`] on
-//! `b.col(j)` at the same thread count — results match column for column
-//! (up to the sign of exact zeros, inherited from the blocked triangular
-//! solves). The win is kernel fusion and factor-stream amortization, not
-//! a different Krylov method; a true shared-subspace block-Krylov variant
-//! is future work (see ROADMAP).
+//! `b.col(j)` — results match column for column (up to the sign of exact
+//! zeros, inherited from the blocked triangular solves), and both solvers
+//! are bit-identical at every thread count. The win is kernel fusion and
+//! factor-stream amortization, not a different Krylov method; a true
+//! shared-subspace block-Krylov variant is future work (see ROADMAP).
 //!
 //! # Deflation
 //!
@@ -30,7 +31,7 @@
 
 use tracered_sparse::{par_dot, par_xpby, CscMatrix, MultiVec};
 
-use crate::pcg::PcgOptions;
+use crate::pcg::{matrix_scale, step, PcgOptions};
 use crate::precond::Preconditioner;
 use crate::termination::{TerminationReason, STAGNATION_WINDOW};
 
@@ -131,10 +132,10 @@ pub fn block_pcg_with_guess<P: Preconditioner>(
     let mut span = tracered_obs::span!("block_pcg.solve", { n: n, width: k });
     let t = options.threads.max(1);
     debug_assert!(
-        t <= 1 || a.is_symmetric_within(1e-9 * matrix_scale(a)),
-        "parallel block PCG requires a symmetric matrix"
+        a.is_symmetric_within(1e-9 * matrix_scale(a)),
+        "block PCG requires a symmetric matrix"
     );
-    let dot_t = |u: &[f64], v: &[f64]| if t <= 1 { dot(u, v) } else { par_dot(u, v, t) };
+    let dot_t = |u: &[f64], v: &[f64]| par_dot(u, v, t);
     let norm_t = |v: &[f64]| dot_t(v, v).sqrt();
 
     let mut x = match x0 {
@@ -178,13 +179,7 @@ pub fn block_pcg_with_guess<P: Preconditioner>(
         p_blk.col_mut(s).copy_from_slice(x.col(col));
     }
     let mut ap_blk = MultiVec::zeros(n, m0);
-    let spmm = |v: &MultiVec, out: &mut MultiVec| {
-        if t <= 1 {
-            a.mul_multi_into(v, out);
-        } else {
-            a.sym_mul_multi_into_threads(v, out, t);
-        }
-    };
+    let spmm = |v: &MultiVec, out: &mut MultiVec| a.sym_mul_multi_into_threads(v, out, t);
     spmm(&p_blk, &mut ap_blk);
     let mut r_blk = MultiVec::zeros(n, m0);
     for (s, &col) in slot2col.iter().enumerate() {
@@ -291,26 +286,7 @@ pub fn block_pcg_with_guess<P: Preconditioner>(
         // x ← x + α p, r ← r − α Ap, fused per column.
         for s in 0..slot2col.len() {
             let alpha = rzs[s] / paps[s];
-            let xc = x.col_mut(slot2col[s]);
-            let rc = r_blk.col_mut(s);
-            let pc = p_blk.col(s);
-            let apc = ap_blk.col(s);
-            if t <= 1 {
-                for ((xi, &pi), (ri, &api)) in
-                    xc.iter_mut().zip(pc.iter()).zip(rc.iter_mut().zip(apc.iter()))
-                {
-                    *xi += alpha * pi;
-                    *ri -= alpha * api;
-                }
-            } else {
-                let chunk = tracered_par::chunk_size(n, t, 4096);
-                tracered_par::par_chunks2_mut(xc, rc, chunk, t, |start, xs, rs| {
-                    for off in 0..xs.len() {
-                        xs[off] += alpha * pc[start + off];
-                        rs[off] -= alpha * apc[start + off];
-                    }
-                });
-            }
+            step(x.col_mut(slot2col[s]), r_blk.col_mut(s), alpha, p_blk.col(s), ap_blk.col(s), t);
         }
         sweeps += 1;
         for s in (0..slot2col.len()).rev() {
@@ -392,15 +368,7 @@ pub fn block_pcg_with_guess<P: Preconditioner>(
             let rz_next = rz_nexts[s];
             let beta = rz_next / *rz;
             *rz = rz_next;
-            let zc = z_blk.col(s);
-            let pc = p_blk.col_mut(s);
-            if t <= 1 {
-                for (pi, &zi) in pc.iter_mut().zip(zc.iter()) {
-                    *pi = zi + beta * *pi;
-                }
-            } else {
-                par_xpby(pc, beta, zc, t);
-            }
+            par_xpby(p_blk.col_mut(s), beta, z_blk.col(s), t);
         }
     }
     if let Some(g) = span.as_mut() {
@@ -409,15 +377,6 @@ pub fn block_pcg_with_guess<P: Preconditioner>(
         g.arg("converged_cols", converged.iter().filter(|&&c| c).count() as f64);
     }
     BlockPcgSolution { x, iterations, rel_residual, converged, reasons, sweeps }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Largest absolute stored value, the scale for the debug symmetry check.
-fn matrix_scale(a: &CscMatrix) -> f64 {
-    a.values().iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(f64::MIN_POSITIVE)
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@ pub struct PcgOptions {
     pub rel_tolerance: f64,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// Worker threads for the SpMV and vector kernels. `1` (the
-    /// default) preserves the exact serial arithmetic; larger values
-    /// use the parallel symmetric matvec and chunked reductions of
-    /// [`tracered_sparse`] — deterministic per thread-count-independent
-    /// chunking, but rounded differently than the serial fold, so
-    /// iteration counts may shift by a step.
+    /// Worker threads for the SpMV and vector kernels of
+    /// [`tracered_sparse`]: the symmetric row-gather matvec, the
+    /// fixed-chunk dot product and the fused vector updates, which
+    /// every count runs (`1`, the default, runs them with no workers).
+    /// Each output entry and each reduction chunk is computed in an
+    /// order the count never changes, so solutions and iteration counts
+    /// are bit-identical at every thread count.
     pub threads: usize,
 }
 
@@ -94,27 +95,14 @@ pub fn pcg_with_guess<P: Preconditioner>(
     assert_eq!(b.len(), n, "rhs length must equal n");
     let mut span = tracered_obs::span!("pcg.solve", { n: n, tol: options.rel_tolerance });
     let t = options.threads.max(1);
-    // The parallel SpMV reads the matrix row-wise, which computes Aᵀx —
-    // wrong for asymmetric input. PCG requires symmetry on every path
-    // (the serial method also silently misbehaves without it), so this
-    // is a debug-build aid, checked once per solve with a value
-    // tolerance rather than bit equality (assembly order may differ
-    // across the two triangles by an ulp).
-    debug_assert!(
-        t <= 1 || a.is_symmetric_within(1e-9 * matrix_scale(a)),
-        "parallel PCG requires a symmetric matrix"
-    );
-    // Kernel dispatch: t == 1 reproduces the historical serial arithmetic
-    // exactly; t > 1 routes through the parallel symmetric SpMV (PCG
-    // already requires a symmetric matrix) and chunked vector kernels.
-    let spmv = |v: &[f64], out: &mut [f64]| {
-        if t <= 1 {
-            a.matvec_into(v, out);
-        } else {
-            a.sym_matvec_into_threads(v, out, t);
-        }
-    };
-    let dot_t = |u: &[f64], v: &[f64]| if t <= 1 { dot(u, v) } else { par_dot(u, v, t) };
+    // The SpMV reads the matrix row-wise, which computes Aᵀx — wrong for
+    // asymmetric input. PCG requires symmetry anyway, so this is a
+    // debug-build aid, checked once per solve with a value tolerance
+    // rather than bit equality (assembly order may differ across the two
+    // triangles by an ulp).
+    debug_assert!(a.is_symmetric_within(1e-9 * matrix_scale(a)), "PCG requires a symmetric matrix");
+    let spmv = |v: &[f64], out: &mut [f64]| a.sym_matvec_into_threads(v, out, t);
+    let dot_t = |u: &[f64], v: &[f64]| par_dot(u, v, t);
     let norm_t = |v: &[f64]| dot_t(v, v).sqrt();
 
     let bnorm = norm_t(b);
@@ -165,24 +153,7 @@ pub fn pcg_with_guess<P: Preconditioner>(
             break; // matrix not SPD along p; bail out with best iterate
         }
         let alpha = rz / pap;
-        if t <= 1 {
-            for ((xi, &pi), (ri, &api)) in
-                x.iter_mut().zip(p.iter()).zip(r.iter_mut().zip(ap.iter()))
-            {
-                *xi += alpha * pi;
-                *ri -= alpha * api;
-            }
-        } else {
-            // Fused update: one parallel region and one memory pass
-            // over both vectors instead of two axpy rounds.
-            let chunk = tracered_par::chunk_size(n, t, 4096);
-            tracered_par::par_chunks2_mut(&mut x, &mut r, chunk, t, |start, xs, rs| {
-                for off in 0..xs.len() {
-                    xs[off] += alpha * p[start + off];
-                    rs[off] -= alpha * ap[start + off];
-                }
-            });
-        }
+        step(&mut x, &mut r, alpha, &p, &ap, t);
         iterations += 1;
         rel = norm_t(&r) / bnorm;
         // Optional convergence trace: one instant event per iteration,
@@ -220,13 +191,7 @@ pub fn pcg_with_guess<P: Preconditioner>(
         }
         let beta = rz_next / rz;
         rz = rz_next;
-        if t <= 1 {
-            for (pi, &zi) in p.iter_mut().zip(z.iter()) {
-                *pi = zi + beta * *pi;
-            }
-        } else {
-            par_xpby(&mut p, beta, &z, t);
-        }
+        par_xpby(&mut p, beta, &z, t);
     }
     let converged = rel <= options.rel_tolerance;
     if converged {
@@ -246,19 +211,31 @@ pub fn pcg_with_guess<P: Preconditioner>(
     PcgSolution { x, iterations, rel_residual: rel, converged, reason }
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+/// The fused PCG step `x ← x + α p`, `r ← r − α Ap`: one parallel region
+/// and one memory pass over both vectors instead of two axpy rounds.
+/// Element-wise, so the result is bit-identical at every thread count.
+pub(crate) fn step(x: &mut [f64], r: &mut [f64], alpha: f64, p: &[f64], ap: &[f64], t: usize) {
+    let chunk = tracered_par::chunk_size(x.len(), t, 4096);
+    tracered_par::par_chunks2_mut(x, r, chunk, t, |start, xs, rs| {
+        let end = start + xs.len();
+        let pairs = xs.iter_mut().zip(rs.iter_mut());
+        for ((xi, ri), (&pi, &api)) in pairs.zip(p[start..end].iter().zip(&ap[start..end])) {
+            *xi += alpha * pi;
+            *ri -= alpha * api;
+        }
+    });
 }
 
 /// Largest absolute stored value — the natural scale for the relative
-/// symmetry tolerance in the debug-build check above.
-fn matrix_scale(a: &CscMatrix) -> f64 {
+/// symmetry tolerance in the debug-build checks of [`pcg_with_guess`]
+/// and [`crate::block::block_pcg_with_guess`].
+pub(crate) fn matrix_scale(a: &CscMatrix) -> f64 {
     a.values().iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(f64::MIN_POSITIVE)
 }
 
 #[cfg(test)]
 fn norm2(v: &[f64]) -> f64 {
-    dot(v, v).sqrt()
+    par_dot(v, v, 1).sqrt()
 }
 
 #[cfg(test)]

@@ -87,12 +87,26 @@ impl SymbolicCholesky {
         self.column_counts().into_iter().map(|c| (c as u64).pow(2)).collect()
     }
 
-    /// Builds the elimination-tree schedule the parallel numeric kernel
-    /// runs on: balanced subtree jobs under the
-    /// [`SymbolicCholesky::column_costs`] model plus the serial
-    /// top-of-tree tail. See [`etree::EtreeSchedule`].
+    /// Builds the elimination-tree schedule the numeric kernels run on:
+    /// balanced subtree jobs under the [`SymbolicCholesky::column_costs`]
+    /// model plus the serial top-of-tree tail. See
+    /// [`etree::EtreeSchedule`].
     pub fn schedule(&self, threads: usize) -> etree::EtreeSchedule {
         etree::EtreeSchedule::build(&self.parent, &self.column_costs(), threads)
+    }
+
+    /// The schedule both numeric kernels run on `threads` workers, or
+    /// `None` when the factorization is one ascending sweep with no
+    /// jobs: one thread, fewer than [`PARALLEL_MIN_COLS`] columns, or a
+    /// tree that yields a single job. The first two tests come before
+    /// any work, so the one-thread path builds no cost model, level
+    /// array or tail list.
+    pub(crate) fn parallel_schedule(&self, threads: usize) -> Option<etree::EtreeSchedule> {
+        if threads <= 1 || self.n() < PARALLEL_MIN_COLS {
+            return None;
+        }
+        let _sched = tracered_obs::span!("chol.schedule", { threads: threads });
+        Some(self.schedule(threads)).filter(|s| s.jobs().len() > 1)
     }
 
     /// The numeric kernel for this pattern, by CHOLMOD's rule: the
@@ -131,8 +145,9 @@ const SUPERNODAL_SWITCH: f64 = 60.0;
 pub struct FactorOptions {
     /// Fill-reducing ordering, computed once per factorization.
     pub ordering: Ordering,
-    /// Worker threads for the numeric phase; `<= 1` runs the serial
-    /// kernel. The factor is bit-identical at every count.
+    /// Worker threads for the numeric phase; `<= 1` runs the kernel as
+    /// one ascending sweep with no subtree jobs. The factor is
+    /// bit-identical at every count.
     pub threads: usize,
     /// Diagonal-boost ladder climbed on a non-positive pivot
     /// ([`crate::regularize`]); `None` returns the pivot failure.
@@ -209,7 +224,8 @@ impl CholeskyFactor {
     /// summation order is fixed by the elimination tree (a column's
     /// updates come from its ancestors, which form a chain), so the
     /// subtree schedule of [`crate::etree::EtreeSchedule`] changes only
-    /// wall-clock time. `threads <= 1` runs the serial kernel.
+    /// wall-clock time. `threads <= 1` runs the same driver with no
+    /// subtree jobs: one ascending sweep.
     ///
     /// ```
     /// use tracered_sparse::{CholeskyFactor, CooMatrix, FactorOptions, order::Ordering};
@@ -318,13 +334,7 @@ impl CholeskyFactor {
             g.arg("kernel", f64::from(u8::from(kernel == KernelVariant::Supernodal)));
         }
         let l = match kernel {
-            KernelVariant::Scalar => {
-                if threads > 1 {
-                    numeric_up_looking_parallel(&c, &symbolic, threads)?
-                } else {
-                    numeric_up_looking(&c, &symbolic)?
-                }
-            }
+            KernelVariant::Scalar => numeric_up_looking(&c, &symbolic, threads)?,
             KernelVariant::Supernodal => {
                 crate::supernode::numeric_supernodal(&c, &symbolic, threads)?
             }
@@ -469,8 +479,8 @@ impl CholeskyFactor {
 /// completed descendant columns, and the pivot — appending `L(k, j)`
 /// through the `next` cursors. `slot(j)` is factor column `j`'s index
 /// into `colptr` and `next`: the identity on the shared factor arrays
-/// (the serial sweep and the parallel path's top-of-tree tail), the
-/// job's local column map in [`factor_subtree_job`]. Every numeric
+/// (the top-of-tree tail of [`numeric_up_looking`]), the job's local
+/// column map in [`factor_subtree_job`]. Every numeric
 /// factorization runs this one body, which is what keeps the
 /// bit-identity contract in one place.
 ///
@@ -531,50 +541,10 @@ fn factor_row(
     Ok(())
 }
 
-/// Up-looking numeric factorization of the upper triangle `c` of the
-/// permuted matrix, with precomputed symbolic structure.
-fn numeric_up_looking(
-    c: &CscMatrix,
-    symbolic: &SymbolicCholesky,
-) -> Result<CscMatrix, SparseError> {
-    let n = c.ncols();
-    let _span = tracered_obs::span!("chol.numeric", { n: n, nnz: symbolic.factor_nnz() });
-    let lcolptr = symbolic.lcolptr.clone();
-    let nnz = symbolic.factor_nnz();
-    let mut lrowidx = vec![0usize; nnz];
-    let mut lvalues = vec![0.0f64; nnz];
-    // next[j]: next free slot in column j of L.
-    let mut next = lcolptr.clone();
-    let mut stack = vec![0usize; n];
-    let mut wmark = vec![usize::MAX; n];
-    let mut x = vec![0.0f64; n]; // dense row accumulator
-
-    for k in 0..n {
-        factor_row(
-            c,
-            &symbolic.parent,
-            k,
-            |j| j,
-            &lcolptr,
-            &mut lrowidx,
-            &mut lvalues,
-            &mut next,
-            &mut stack,
-            &mut wmark,
-            &mut x,
-        )?;
-    }
-    debug_assert!(
-        (0..n).all(|j| next[j] == lcolptr[j + 1]),
-        "numeric fill must match symbolic counts"
-    );
-    CscMatrix::from_raw_parts(n, n, lcolptr, lrowidx, lvalues)
-}
-
 /// Matrices below this dimension never amortize the schedule build and
-/// job scratch, so the parallel numeric path falls back to serial (both
-/// kernel variants share the cutoff).
-pub(crate) const PARALLEL_MIN_COLS: usize = 128;
+/// job scratch, so both kernels factor them in one sweep at every thread
+/// count.
+const PARALLEL_MIN_COLS: usize = 128;
 
 /// One subtree job's private slice of the factor: columns owned by the
 /// job, stored contiguously in job-local order.
@@ -595,7 +565,7 @@ struct SubtreeFactor {
 /// ascending order, reading and writing only the job's own columns.
 ///
 /// Each row runs [`factor_row`] addressed through the job's local column
-/// map, so every column it produces is bit-identical to the serial
+/// map, so every column it produces is bit-identical to the one-sweep
 /// kernel's. The first failing pivot is recorded and ends the job.
 fn factor_subtree_job(c: &CscMatrix, symbolic: &SymbolicCholesky, cols: &[usize]) -> SubtreeFactor {
     let n = c.ncols();
@@ -640,42 +610,44 @@ fn factor_subtree_job(c: &CscMatrix, symbolic: &SymbolicCholesky, cols: &[usize]
     SubtreeFactor { colptr, rowidx, values, filled, failed_column }
 }
 
-/// Parallel up-looking numeric factorization: independent etree subtrees
-/// factor concurrently as [`tracered_par::par_jobs`], then the serial
-/// kernel finishes the dense top-of-tree rows.
+/// Up-looking numeric factorization of the upper triangle `c` of the
+/// permuted matrix on up to `threads` workers: the independent etree
+/// subtrees of [`SymbolicCholesky::parallel_schedule`] factor
+/// concurrently as [`tracered_par::par_jobs`], then the top-of-tree tail
+/// rows run in ascending order. Without a schedule there are no jobs and
+/// the tail is every row, the plain ascending sweep.
 ///
-/// Bit-identical to [`numeric_up_looking`] at every thread count. Both
-/// phases run every row through the one row step [`factor_row`]; the
-/// writers of factor column `j` are `j`'s etree ancestors, which
-/// form a chain with strictly increasing indices, so "append in
-/// ascending row order within each owner" — what the subtree phase and
-/// the ascending serial tail both do — reproduces the serial kernel's
-/// per-column summation order exactly; and every value feeding a row's
-/// triangular solve comes from completed descendant columns, computed
-/// identically. The same chain argument makes error reporting serial-
-/// equivalent: the smallest failing pivot across jobs and the tail
-/// prefix below it is exactly the pivot the serial sweep hits first.
-fn numeric_up_looking_parallel(
+/// Bit-identical to that sweep at every thread count. Both phases run
+/// every row through the one row step [`factor_row`]; the writers of
+/// factor column `j` are `j`'s etree ancestors, which form a chain with
+/// strictly increasing indices, so "append in ascending row order within
+/// each owner" — what the subtree phase and the ascending tail both do —
+/// reproduces the sweep's per-column summation order exactly; and every
+/// value feeding a row's triangular solve comes from completed
+/// descendant columns, computed identically. The same chain argument
+/// makes error reporting sweep-equivalent: the smallest failing pivot
+/// across jobs and the tail prefix below it is exactly the pivot the
+/// sweep hits first.
+fn numeric_up_looking(
     c: &CscMatrix,
     symbolic: &SymbolicCholesky,
     threads: usize,
 ) -> Result<CscMatrix, SparseError> {
     let n = c.ncols();
-    if n < PARALLEL_MIN_COLS {
-        return numeric_up_looking(c, symbolic);
-    }
-    let schedule = {
-        let _sched = tracered_obs::span!("chol.schedule", { threads: threads });
-        symbolic.schedule(threads)
+    let schedule = symbolic.parallel_schedule(threads);
+    let (jobs, listed_tail) = match &schedule {
+        Some(s) => (s.jobs(), s.serial_tail()),
+        None => (&[][..], &[][..]),
     };
-    if schedule.jobs().len() <= 1 {
-        return numeric_up_looking(c, symbolic);
-    }
+    // Without a schedule every row is a tail row, taken from a range so
+    // the one-thread path allocates no row list.
+    let every_row = if schedule.is_some() { 0..0 } else { 0..n };
+    let tail_rows = listed_tail.len() + every_row.len();
     let _span = tracered_obs::span!("chol.numeric", {
         n: n,
         nnz: symbolic.factor_nnz(),
-        jobs: schedule.jobs().len(),
-        tail_rows: schedule.serial_tail().len()
+        jobs: jobs.len(),
+        tail_rows: tail_rows
     });
     let lcolptr = symbolic.lcolptr.clone();
     let nnz = symbolic.factor_nnz();
@@ -685,10 +657,9 @@ fn numeric_up_looking_parallel(
 
     // --- Phase 1: factor the independent subtree jobs concurrently. ---
     let mut outs: Vec<SubtreeFactor> = Vec::new();
-    outs.resize_with(schedule.jobs().len(), SubtreeFactor::default);
-    let jobs: Vec<(&Vec<usize>, &mut SubtreeFactor)> =
-        schedule.jobs().iter().zip(outs.iter_mut()).collect();
-    tracered_par::par_jobs(jobs, threads, |(cols, out)| {
+    outs.resize_with(jobs.len(), SubtreeFactor::default);
+    let work: Vec<(&Vec<usize>, &mut SubtreeFactor)> = jobs.iter().zip(outs.iter_mut()).collect();
+    tracered_par::par_jobs(work, threads, |(cols, out)| {
         let _job = tracered_obs::span!("chol.numeric.job", { cols: cols.len() });
         *out = factor_subtree_job(c, symbolic, cols);
     });
@@ -696,9 +667,9 @@ fn numeric_up_looking_parallel(
     // Merge the job prefixes into the shared factor. Jobs own disjoint
     // column sets, so this is a straight copy plus cursor bump; partial
     // fills of a failed job are kept so the tail prefix below the
-    // failure still sees exactly the serial kernel's state.
+    // failure still sees exactly the sweep's state.
     let mut first_failure: Option<usize> = None;
-    for (cols, out) in schedule.jobs().iter().zip(outs.iter()) {
+    for (cols, out) in jobs.iter().zip(outs.iter()) {
         if let Some(col) = out.failed_column {
             first_failure = Some(first_failure.map_or(col, |c0| c0.min(col)));
         }
@@ -713,16 +684,16 @@ fn numeric_up_looking_parallel(
 
     // --- Phase 2: serial tail over the top-of-tree rows, ascending. ---
     // On a job failure only the tail rows *below* the failing pivot run:
-    // they are the tail rows the serial sweep would still have reached,
-    // and a failure among them preempts the job's (it is smaller).
+    // they are the tail rows the sweep would still have reached, and a
+    // failure among them preempts the job's (it is smaller).
     let stop = first_failure.unwrap_or(usize::MAX);
     // The serial-tail span is the direct lens on the scalability ceiling:
     // its fraction of `chol.numeric` is the part no thread count removes.
-    let _tail = tracered_obs::span!("chol.numeric.tail", { rows: schedule.serial_tail().len() });
+    let _tail = tracered_obs::span!("chol.numeric.tail", { rows: tail_rows });
     let mut stack = vec![0usize; n];
     let mut wmark = vec![usize::MAX; n];
     let mut x = vec![0.0f64; n];
-    for &k in schedule.serial_tail() {
+    for k in listed_tail.iter().copied().chain(every_row) {
         if k >= stop {
             break;
         }
@@ -973,7 +944,7 @@ mod tests {
         let perm = Ordering::MinDegree.compute(&a).unwrap();
         let c = a.symmetric_perm_upper(&perm).unwrap();
         let symbolic = SymbolicCholesky::analyze(&c).unwrap();
-        let l = numeric_up_looking(&c, &symbolic).unwrap();
+        let l = numeric_up_looking(&c, &symbolic, 1).unwrap();
         assert!(etree_consistent_with_factor(&l, symbolic.parent()));
     }
 

@@ -261,56 +261,9 @@ impl CscMatrix {
         let chunk = tracered_par::chunk_size(self.nrows, threads, 512);
         tracered_par::par_chunks_mut(y, chunk, threads, |start, out| {
             for (off, yi) in out.iter_mut().enumerate() {
-                let i = start + off;
-                let mut acc = 0.0;
-                for k in self.colptr[i]..self.colptr[i + 1] {
-                    acc += self.values[k] * x[self.rowidx[k]];
-                }
-                *yi = acc;
+                *yi = self.row_dot(start + off, x);
             }
         });
-    }
-
-    /// Sparse matrix × dense block product `Y = A X` (SpMM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.nrows() != self.ncols()`.
-    pub fn mul_multi(&self, x: &MultiVec) -> MultiVec {
-        let mut y = MultiVec::zeros(self.nrows, x.ncols());
-        self.mul_multi_into(x, &mut y);
-        y
-    }
-
-    /// SpMM into a caller-provided block (`y` is overwritten).
-    ///
-    /// Streams the matrix once for the whole batch: each matrix column is
-    /// scattered into all `k` output columns while it is cache-hot, which
-    /// lifts the memory-bound SpMV to matrix–matrix intensity. Column `c`
-    /// of the result is bit-identical to `self.matvec(x.col(c))` — the
-    /// per-column scatter order and the `x == 0` skip are the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree.
-    pub fn mul_multi_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.nrows(), self.ncols, "block rows must equal ncols");
-        assert_eq!(y.nrows(), self.nrows, "output rows must equal nrows");
-        assert_eq!(y.ncols(), x.ncols(), "output width must match input width");
-        y.fill_zero();
-        let k = x.ncols();
-        for j in 0..self.ncols {
-            for c in 0..k {
-                let xj = x.col(c)[j];
-                if xj == 0.0 {
-                    continue;
-                }
-                let yc = y.col_mut(c);
-                for p in self.colptr[j]..self.colptr[j + 1] {
-                    yc[self.rowidx[p]] += self.values[p] * xj;
-                }
-            }
-        }
     }
 
     /// SpMM of a **symmetric** matrix on `threads` workers (`y` is
@@ -346,14 +299,21 @@ impl CscMatrix {
         tracered_par::par_jobs(jobs, threads, |(c, start, out)| {
             let xc = x.col(c);
             for (off, yi) in out.iter_mut().enumerate() {
-                let i = start + off;
-                let mut acc = 0.0;
-                for p in self.colptr[i]..self.colptr[i + 1] {
-                    acc += self.values[p] * xc[self.rowidx[p]];
-                }
-                *yi = acc;
+                *yi = self.row_dot(start + off, xc);
             }
         });
+    }
+
+    /// Row `i` of a symmetric matrix times `x`, gathered from column `i`
+    /// in increasing row order — the one summation order both symmetric
+    /// products use.
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.colptr[i], self.colptr[i + 1]);
+        let mut acc = 0.0;
+        for (&v, &r) in self.values[lo..hi].iter().zip(&self.rowidx[lo..hi]) {
+            acc += v * x[r];
+        }
+        acc
     }
 
     /// Infinity norm of the residual `A x − b`, a convenience for tests and
@@ -711,8 +671,9 @@ pub fn par_xpby(p: &mut [f64], beta: f64, z: &[f64], threads: usize) {
     assert_eq!(p.len(), z.len(), "xpby operands must have equal length");
     let chunk = tracered_par::chunk_size(p.len(), threads, VEC_MIN_CHUNK);
     tracered_par::par_chunks_mut(p, chunk, threads, |start, out| {
-        for (off, pi) in out.iter_mut().enumerate() {
-            *pi = z[start + off] + beta * *pi;
+        let zs = &z[start..start + out.len()];
+        for (pi, &zi) in out.iter_mut().zip(zs) {
+            *pi = zi + beta * *pi;
         }
     });
 }
@@ -721,8 +682,8 @@ pub fn par_xpby(p: &mut [f64], beta: f64, z: &[f64], threads: usize) {
 ///
 /// The chunk decomposition is fixed by the input length (never by the
 /// thread count) and partial sums combine in chunk order, so the result
-/// is deterministic across thread counts — though not bit-identical to
-/// a single serial fold.
+/// is bit-identical at every thread count, one included — though not to
+/// a single unchunked fold.
 ///
 /// # Panics
 ///
@@ -824,23 +785,6 @@ mod tests {
                     (s - p).abs() == 0.0,
                     "row {i}: serial {s} vs par {p} at {threads} threads"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn mul_multi_matches_matvec_per_column() {
-        let a = small();
-        let cols =
-            [vec![1.0, 2.0, 3.0], vec![0.0, -1.0, 0.5], vec![0.0, 0.0, 0.0], vec![9.0, -9.0, 1.0]];
-        let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-        let x = MultiVec::from_columns(&refs).unwrap();
-        let y = a.mul_multi(&x);
-        assert_eq!(y.ncols(), 4);
-        for (c, col) in cols.iter().enumerate() {
-            let single = a.matvec(col);
-            for (s, m) in single.iter().zip(y.col(c).iter()) {
-                assert_eq!(s.to_bits(), m.to_bits(), "column {c}");
             }
         }
     }

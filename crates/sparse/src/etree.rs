@@ -192,8 +192,10 @@ impl EtreeSchedule {
     /// column `j`; any nonnegative proxy works, zero columns are fine).
     ///
     /// `threads <= 1` produces the degenerate schedule (no jobs, every
-    /// column in the serial tail), which callers route to the serial
-    /// kernel.
+    /// column in the serial tail). The numeric Cholesky kernels never
+    /// build it: at one thread, below 128 columns, or when a schedule
+    /// has a single job, they run with no schedule at all, every column
+    /// in their ascending tail, which factors the same bits.
     ///
     /// # Panics
     ///

@@ -12,10 +12,10 @@
 //!   CSparse/CHOLMOD — up-looking on thin factors, supernodal panels
 //!   ([`supernode`]) on fat ones — steered by one [`FactorOptions`] (ordering,
 //!   threads, diagonal-boost ladder) through
-//!   [`CholeskyFactor::factorize`]; its subtree-scheduled parallel
-//!   numeric path factors independent elimination-tree subtrees
-//!   concurrently and is bit-identical to the serial kernel at every
-//!   thread count;
+//!   [`CholeskyFactor::factorize`]; each kernel has one driver, which
+//!   factors independent elimination-tree subtrees concurrently when it
+//!   has workers and runs them as one ascending sweep when it has none,
+//!   bit-identical at every thread count;
 //! - sparse triangular solves and a convenience SDD solver;
 //! - CHOLMOD-style sparse rank-1 update/downdate of a factor in place
 //!   ([`update`]), with elimination-tree pattern growth, typed
@@ -26,9 +26,9 @@
 //! - a small dense-matrix module ([`dense`]) used as a test oracle;
 //! - a column-major multi-vector ([`multivec`]) with blocked multi-RHS
 //!   kernels: batched triangular solves ([`CholeskyFactor::solve_multi`])
-//!   and symmetric SpMM ([`CscMatrix::mul_multi`],
-//!   [`CscMatrix::sym_mul_multi_into_threads`]) that stream the sparse
-//!   operand once per batch.
+//!   that stream the factor once per batch, and the symmetric row-gather
+//!   SpMM [`CscMatrix::sym_mul_multi_into_threads`], which reads the
+//!   matrix once per column.
 //!
 //! # Example
 //!

@@ -8,10 +8,10 @@
 //! - each column is a contiguous `&[f64]` — every existing single-vector
 //!   kernel (dots, axpys, preconditioner applies) works on a column
 //!   unchanged, with unchanged arithmetic;
-//! - blocked kernels ([`crate::chol::lsolve_multi_in_place`],
-//!   [`CscMatrix::mul_multi_into`](crate::CscMatrix::mul_multi_into))
-//!   stream the sparse operand **once** for all `k` columns, amortizing
-//!   the dominant memory traffic of factor substitutions and SpMV.
+//! - the blocked substitutions ([`crate::chol::lsolve_multi_in_place`],
+//!   [`crate::chol::ltsolve_multi_in_place`]) stream the factor **once**
+//!   for all `k` columns, amortizing the dominant memory traffic of the
+//!   triangular solves.
 
 use crate::error::SparseError;
 

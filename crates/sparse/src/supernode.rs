@@ -31,9 +31,9 @@
 //! Within the [`KernelVariant::Supernodal`] variant the factor is
 //! **bit-identical at every thread count**: updates are applied in
 //! ascending descendant-supernode order from precomputed (and therefore
-//! schedule-independent) update lists, so the serial sweep and the
-//! [`crate::etree::EtreeSchedule`]-driven parallel path execute literally
-//! the same floating-point operations in the same order. Across variants
+//! schedule-independent) update lists, so the one sweep runs literally
+//! the same floating-point operations in the same order whether its
+//! [`crate::etree::EtreeSchedule`] has subtree jobs or none. Across variants
 //! (`Scalar` vs `Supernodal`) the summation order differs, so results are
 //! equal only up to rounding — compare with a tolerance, never bitwise.
 
@@ -335,8 +335,7 @@ fn build_updates(part: &SupernodePartition) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Read access to completed descendant panels — indexed globally by the
-/// serial sweep and the tail, and through a job-local sorted list inside
-/// subtree jobs.
+/// tail, and through a job-local sorted list inside subtree jobs.
 trait PanelLookup {
     /// The completed packed panel of supernode `s`.
     fn panel(&self, s: usize) -> &[f64];
@@ -359,9 +358,9 @@ impl PanelLookup for [(usize, &mut [f64])] {
 
 /// Factors one supernode panel left-looking: descendant rank-k updates
 /// in ascending-descendant order, then a dense in-panel Cholesky.
-/// Columns with global index `>= limit` are skipped (the parallel tail
-/// uses this to stop at an earlier job failure exactly where the serial
-/// sweep would have stopped).
+/// Columns with global index `>= limit` are skipped (the tail uses this
+/// to stop at an earlier job failure exactly where the one sweep would
+/// have stopped).
 ///
 /// `panel` is the supernode's packed trapezoid holding `A`'s entries
 /// (see [`scatter_matrix`]) and zeros. Returns the global index of the
@@ -699,11 +698,12 @@ fn compact_panels(
 }
 
 /// Supernodal numeric factorization of the upper triangle `c` of the
-/// permuted matrix, with precomputed symbolic structure. Serial when
-/// `threads <= 1` (or below the parallel cutoff), otherwise subtree jobs
-/// from the [`SymbolicCholesky::schedule`] run whole supernodes
-/// concurrently and the serial tail finishes the top of the tree —
-/// bit-identical to the serial supernodal sweep at every thread count.
+/// permuted matrix, with precomputed symbolic structure, on up to
+/// `threads` workers. Subtree jobs from
+/// [`SymbolicCholesky::parallel_schedule`] run whole supernodes
+/// concurrently and the tail finishes the top of the tree; without a
+/// schedule the tail is every supernode, one ascending sweep. The factor
+/// is bit-identical at every thread count.
 ///
 /// The panels are factored straight into the array that becomes the
 /// factor's CSC values (nnz(L) plus the padded cells), which
@@ -714,12 +714,8 @@ pub(crate) fn numeric_supernodal(
     threads: usize,
 ) -> Result<CscMatrix, SparseError> {
     let n = c.ncols();
-    let schedule = if threads > 1 && n >= crate::chol::PARALLEL_MIN_COLS {
-        let _sched = tracered_obs::span!("chol.schedule", { threads: threads });
-        Some(symbolic.schedule(threads)).filter(|s| s.jobs().len() > 1)
-    } else {
-        None
-    };
+    let schedule = symbolic.parallel_schedule(threads);
+    let jobs = schedule.as_ref().map_or(&[][..], etree::EtreeSchedule::jobs);
     // The row structure is part of the numeric phase, as the scalar
     // kernel's per-row `ereach` is.
     let mut span = tracered_obs::span!("chol.numeric", { n: n, nnz: symbolic.factor_nnz() });
@@ -728,50 +724,18 @@ pub(crate) fn numeric_supernodal(
     let updates = build_updates(&part);
     if let Some(g) = span.as_mut() {
         g.arg("supernodes", part.num_supernodes() as f64);
+        g.arg("jobs", jobs.len() as f64);
     }
     let mut values = vec![0.0f64; symbolic.factor_nnz() + part.padded_cells()];
     let mut panels = split_panels(&part, &mut values);
     scatter_matrix(c, &part, &mut panels);
-    match &schedule {
-        Some(schedule) => {
-            if let Some(g) = span.as_mut() {
-                g.arg("jobs", schedule.jobs().len() as f64);
-            }
-            supernodal_parallel(schedule, &part, &updates, &mut panels, threads)?;
-        }
-        None => supernodal_serial(&part, &updates, &mut panels)?,
-    }
+    supernodal_sweep(jobs, &part, &updates, &mut panels, threads)?;
     compact_panels(&part, symbolic.lcolptr(), &lrowidx, &mut values);
     CscMatrix::from_raw_parts(n, n, symbolic.lcolptr().to_vec(), lrowidx, values)
 }
 
-/// Serial left-looking sweep over all supernodes, ascending.
-fn supernodal_serial(
-    part: &SupernodePartition,
-    updates: &[Vec<(usize, usize)>],
-    panels: &mut [&mut [f64]],
-) -> Result<(), SparseError> {
-    let mut relmap = vec![usize::MAX; part.n()];
-    let mut wbuf = vec![0.0f64; 2 * part.max_rows()];
-    for s in 0..part.num_supernodes() {
-        let (done, rest) = panels.split_at_mut(s);
-        if let Some(column) = factor_supernode_into(
-            s,
-            part,
-            &updates[s],
-            &*done,
-            rest[0],
-            &mut relmap,
-            &mut wbuf,
-            usize::MAX,
-        ) {
-            return Err(SparseError::NotPositiveDefinite { column });
-        }
-    }
-    Ok(())
-}
-
-/// Parallel supernodal factorization over the elimination-tree schedule.
+/// The left-looking sweep over every supernode, on the subtree `jobs` of
+/// an elimination-tree schedule (none for one ascending sweep).
 ///
 /// A supernode is assigned to a subtree job iff **all** its columns
 /// belong to that job; chain supernodes can straddle only a job/tail
@@ -780,44 +744,51 @@ fn supernodal_serial(
 /// is real in some descendant column, and that column's etree path runs
 /// through the descendant's top column), so the job phase is
 /// self-contained. Straddlers and top-of-tree supernodes run in the
-/// serial tail, which sees every completed panel. Failure semantics
-/// mirror the scalar parallel path: jobs record their first failing
-/// pivot, the tail runs only columns below the minimum, and the smallest
-/// failing column — exactly the serial sweep's — is reported.
-fn supernodal_parallel(
-    schedule: &etree::EtreeSchedule,
+/// tail, ascending, which sees every completed panel. Failure semantics
+/// mirror the scalar kernel: jobs record their first failing pivot, the
+/// tail runs only columns below the minimum, and the smallest failing
+/// column — exactly the one-sweep order's — is reported.
+fn supernodal_sweep(
+    jobs: &[Vec<usize>],
     part: &SupernodePartition,
     updates: &[Vec<(usize, usize)>],
     panels: &mut [&mut [f64]],
     threads: usize,
 ) -> Result<(), SparseError> {
     let n = part.n();
-    let njobs = schedule.jobs().len();
-    let mut owner = vec![usize::MAX; n];
-    for (ji, job) in schedule.jobs().iter().enumerate() {
-        for &j in job {
-            owner[j] = ji;
-        }
-    }
     let nsup = part.num_supernodes();
-    // assign[s]: owning job, or usize::MAX for the serial tail.
-    let mut assign = vec![usize::MAX; nsup];
-    for (s, slot) in assign.iter_mut().enumerate() {
-        let o = owner[part.first_col[s]];
-        if o != usize::MAX && part.cols(s).all(|j| owner[j] == o) {
-            *slot = o;
+    // job_of[s]: the job owning every column of supernode s, or
+    // usize::MAX for the tail. Left empty, every supernode in the tail,
+    // when there are no jobs.
+    let mut job_of: Vec<usize> = Vec::new();
+    if !jobs.is_empty() {
+        let mut owner = vec![usize::MAX; n];
+        for (ji, job) in jobs.iter().enumerate() {
+            for &j in job {
+                owner[j] = ji;
+            }
         }
+        job_of = (0..nsup)
+            .map(|s| {
+                let o = owner[part.first_col[s]];
+                if part.cols(s).all(|j| owner[j] == o) {
+                    o
+                } else {
+                    usize::MAX
+                }
+            })
+            .collect();
     }
+    let in_tail = |s: usize| job_of.get(s).is_none_or(|&o| o == usize::MAX);
 
     let mut tail_cols = 0usize;
-    let mut tail_snodes: Vec<usize> = Vec::new();
-    let mut job_items: Vec<Vec<(usize, &mut [f64])>> = (0..njobs).map(|_| Vec::new()).collect();
+    let mut job_items: Vec<Vec<(usize, &mut [f64])>> =
+        (0..jobs.len()).map(|_| Vec::new()).collect();
     for (s, p) in panels.iter_mut().enumerate() {
-        if assign[s] == usize::MAX {
-            tail_snodes.push(s);
+        if in_tail(s) {
             tail_cols += part.width(s);
         } else {
-            job_items[assign[s]].push((s, &mut **p));
+            job_items[job_of[s]].push((s, &mut **p));
         }
     }
 
@@ -825,7 +796,7 @@ fn supernodal_parallel(
     // One unit of work: a job's (supernode, panel) list plus the slot
     // its first failing pivot (if any) is reported through.
     type JobWork<'a> = (Vec<(usize, &'a mut [f64])>, &'a mut Option<usize>);
-    let mut job_fail: Vec<Option<usize>> = vec![None; njobs];
+    let mut job_fail: Vec<Option<usize>> = vec![None; jobs.len()];
     let work: Vec<JobWork<'_>> = job_items.into_iter().zip(job_fail.iter_mut()).collect();
     let wbuf_len = 2 * part.max_rows();
     tracered_par::par_jobs(work, threads, |(mut items, fail)| {
@@ -853,13 +824,13 @@ fn supernodal_parallel(
     });
     let mut first_failure: Option<usize> = job_fail.iter().flatten().copied().min();
 
-    // --- Phase 2: serial tail over the remaining supernodes, ascending.
+    // --- Phase 2: the tail over the remaining supernodes, ascending.
     // Only columns below the earliest job failure run; a tail failure is
     // necessarily smaller and preempts it.
     let _tail = tracered_obs::span!("chol.numeric.tail", { rows: tail_cols });
     let mut relmap = vec![usize::MAX; n];
     let mut wbuf = vec![0.0f64; wbuf_len];
-    for &s in &tail_snodes {
+    for s in (0..nsup).filter(|&s| in_tail(s)) {
         let stop = first_failure.unwrap_or(usize::MAX);
         if part.first_col[s] >= stop {
             break;

@@ -110,13 +110,6 @@ proptest! {
             .collect();
         let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
         let x = MultiVec::from_columns(&refs).unwrap();
-        let y = a.mul_multi(&x);
-        for (c, col) in cols.iter().enumerate() {
-            let single = a.matvec(col);
-            for (s, m) in single.iter().zip(y.col(c).iter()) {
-                prop_assert_eq!(s.to_bits(), m.to_bits(), "serial SpMM column {}", c);
-            }
-        }
         for threads in [1usize, 2, 4] {
             let mut yp = MultiVec::zeros(n, k);
             a.sym_mul_multi_into_threads(&x, &mut yp, threads);
