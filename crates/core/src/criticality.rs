@@ -45,15 +45,21 @@
 //!
 //! Each candidate's score depends only on read-only shared state (graph,
 //! tree, factor, approximate inverse, ball table) plus private scratch,
-//! so scoring is embarrassingly parallel. The `_threads` variants
+//! so scoring is embarrassingly parallel, and the order in which
+//! candidates are evaluated is free. Both evaluators score them in a
+//! locality order: candidate positions bucketed by the smaller BFS rank
+//! of their two endpoints, so consecutive candidates share Z̃ columns,
+//! ball-table rows and adjacency lists in cache (the callers' Kruskal
+//! order puts them far apart). The `_threads` variants
 //! ([`tree_phase_scores_threads`], [`subgraph_phase_scores_threads`])
-//! fan candidates out over a work-stealing chunk scheduler
-//! ([`tracered_par`]) with one scratch arena per worker; outputs stay
-//! index-aligned and **bit-identical** to the serial path for every
-//! thread count, because each score is computed by exactly the same
-//! per-candidate code either way. The ball table is built on the same
-//! workers in node chunks concatenated in chunk order, so it too is the
-//! same at every thread count.
+//! cut the evaluation positions into chunks on a work-stealing scheduler
+//! ([`tracered_par`]) with one scratch arena per worker, and scatter the
+//! evaluated scores back once, so outputs stay index-aligned with the
+//! input and **bit-identical** to the serial path for every thread count
+//! and every input order, because each score is computed by exactly the
+//! same per-candidate code under its own stamp either way. The ball
+//! table is built on the same workers in node chunks concatenated in
+//! chunk order, so it too is the same at every thread count.
 
 use tracered_graph::tree::NO_NODE;
 use tracered_graph::{Graph, RootedTree};
@@ -151,9 +157,11 @@ pub fn tree_phase_scores(
 
 /// [`tree_phase_scores`] evaluated on `threads` workers.
 ///
-/// Candidates are chunked onto a work-stealing queue; each worker owns a
-/// private scratch arena (stamps, voltages, balls), so scores are
-/// bit-identical to the serial path in the original candidate order.
+/// Candidates are scored in a locality order (bucketed by the smaller
+/// BFS rank over `g` of their endpoints) in chunks on a work-stealing
+/// queue; each worker owns a private scratch arena (stamps, voltages,
+/// balls), so scores are bit-identical to the serial path and aligned
+/// with the input order.
 ///
 /// # Panics
 ///
@@ -167,22 +175,100 @@ pub fn tree_phase_scores_threads(
     threads: usize,
 ) -> Vec<f64> {
     assert_eq!(candidates.len(), resistances.len(), "one resistance per candidate is required");
+    if candidates.is_empty() {
+        return Vec::new();
+    }
     let n = g.num_nodes();
     let m = g.num_edges();
-    let mut scores = vec![0.0f64; candidates.len()];
-    let chunk = tracered_par::chunk_size(candidates.len(), threads, MIN_CHUNK);
-    tracered_par::par_chunks_mut_scratch(
-        &mut scores,
-        chunk,
+    score_in_order(
+        &evaluation_order(g, candidates),
         threads,
         |cached| TreeScratch::recycle(cached, n, m),
-        |scratch, start, out| {
-            for (off, slot) in out.iter_mut().enumerate() {
-                let k = start + off;
-                *slot = tree_phase_score_one(g, tree, candidates[k], resistances[k], beta, scratch);
+        |scratch, k| tree_phase_score_one(g, tree, candidates[k], resistances[k], beta, scratch),
+    )
+}
+
+/// The order in which the evaluators score `candidates` (edge ids of
+/// `g`): the positions `0..candidates.len()`, bucketed by the smaller
+/// BFS rank of each candidate's two endpoints, input order within a
+/// bucket.
+///
+/// The rank comes from one BFS over `g` (node 0 first, then each
+/// unvisited node in id order, so every component is ranked): the level
+/// order of Cuthill–McKee without its degree sort. Unlike the node ids it
+/// keeps neighbouring candidates close on any node numbering. The
+/// bucketing is a stable counting sort, `O(n + k)`.
+fn evaluation_order(g: &Graph, candidates: &[usize]) -> Vec<usize> {
+    let n = g.num_nodes();
+    let mut rank = vec![usize::MAX; n];
+    let mut queue = Vec::with_capacity(n);
+    let mut head = 0;
+    for root in 0..n {
+        if rank[root] != usize::MAX {
+            continue;
+        }
+        rank[root] = queue.len();
+        queue.push(root);
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            for &(y, _) in g.neighbors(x) {
+                if rank[y] == usize::MAX {
+                    rank[y] = queue.len();
+                    queue.push(y);
+                }
+            }
+        }
+    }
+    let bucket: Vec<usize> = candidates
+        .iter()
+        .map(|&id| {
+            let e = g.edge(id);
+            rank[e.u].min(rank[e.v])
+        })
+        .collect();
+    // `next[b]` is the first free position of bucket `b`.
+    let mut next = vec![0usize; n + 1];
+    for &b in &bucket {
+        next[b + 1] += 1;
+    }
+    for b in 0..n {
+        next[b + 1] += next[b];
+    }
+    let mut order = vec![0usize; candidates.len()];
+    for (k, &b) in bucket.iter().enumerate() {
+        order[next[b]] = k;
+        next[b] += 1;
+    }
+    order
+}
+
+/// Scores the candidate positions in `order` on `threads` workers, one
+/// `scratch` arena per worker, and returns the scores aligned with the
+/// positions: slot `k` holds `score(_, k)`. Chunks run over evaluation
+/// positions into one buffer, which is scattered once at the end.
+fn score_in_order<S: 'static>(
+    order: &[usize],
+    threads: usize,
+    scratch: impl Fn(Option<S>) -> S + Sync,
+    score: impl Fn(&mut S, usize) -> f64 + Sync,
+) -> Vec<f64> {
+    let mut evaluated = vec![0.0f64; order.len()];
+    let chunk = tracered_par::chunk_size(order.len(), threads, MIN_CHUNK);
+    tracered_par::par_chunks_mut_scratch(
+        &mut evaluated,
+        chunk,
+        threads,
+        scratch,
+        |s, start, out| {
+            for (slot, &k) in out.iter_mut().zip(&order[start..]) {
+                *slot = score(s, k);
             }
         },
     );
+    let mut scores = vec![0.0f64; order.len()];
+    for (&k, &v) in order.iter().zip(&evaluated) {
+        scores[k] = v;
+    }
     scores
 }
 
@@ -472,10 +558,11 @@ fn subgraph_phase_score_one(
 
 /// [`subgraph_phase_scores`] evaluated on `threads` workers.
 ///
-/// Same work-stealing decomposition and determinism contract as
-/// [`tree_phase_scores_threads`]: one scratch arena (stamps, voltage
-/// memo, z̃ scatter buffer) per worker, bit-identical index-aligned
-/// output. The β-ball table is built first, on the same workers.
+/// Same evaluation order, work-stealing decomposition and determinism
+/// contract as [`tree_phase_scores_threads`]: one scratch arena (stamps,
+/// voltage memo, z̃ scatter buffer) per worker, bit-identical
+/// index-aligned output. The β-ball table is built first, on the same
+/// workers.
 ///
 /// # Panics
 ///
@@ -499,22 +586,12 @@ pub fn subgraph_phase_scores_threads(
     let m = g.num_edges();
     let old_to_new = factor.perm().as_old_to_new();
     let balls = BallTable::build(subgraph, beta, threads, m);
-    let mut scores = vec![0.0f64; candidates.len()];
-    let chunk = tracered_par::chunk_size(candidates.len(), threads, MIN_CHUNK);
-    tracered_par::par_chunks_mut_scratch(
-        &mut scores,
-        chunk,
+    score_in_order(
+        &evaluation_order(g, candidates),
         threads,
         |cached| SubgraphScratch::recycle(cached, n, m),
-        |scratch, start, out| {
-            for (off, slot) in out.iter_mut().enumerate() {
-                let k = start + off;
-                *slot =
-                    subgraph_phase_score_one(g, zinv, old_to_new, &balls, candidates[k], scratch);
-            }
-        },
-    );
-    scores
+        |scratch, k| subgraph_phase_score_one(g, zinv, old_to_new, &balls, candidates[k], scratch),
+    )
 }
 
 #[cfg(test)]
@@ -617,6 +694,28 @@ mod tests {
                 assert!(s.is_finite() && s >= 0.0);
             }
         }
+    }
+
+    #[test]
+    fn evaluation_order_is_a_stable_permutation_over_every_component() {
+        // Two components, a 6-cycle with a chord and a 4-cycle, plus an
+        // isolated node; candidates share endpoints and edge 10 is
+        // listed twice.
+        let mut edges: Vec<(usize, usize, f64)> = (0..6).map(|i| (i, (i + 1) % 6, 1.0)).collect();
+        edges.extend((6..10).map(|i| (i, 6 + (i - 5) % 4, 2.0)));
+        edges.push((0, 3, 0.5));
+        let g = Graph::from_edges(11, &edges).unwrap();
+        let candidates = [10, 5, 7, 0, 10, 2, 9, 4];
+        let order = evaluation_order(&g, &candidates);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..candidates.len()).collect::<Vec<_>>());
+        // Node 0 has rank 0, so the candidates at it come first, in
+        // input order. The second component's come last, the one at its
+        // first-ranked node 6 before the other.
+        assert_eq!(order[..4], [0, 1, 3, 4]);
+        assert_eq!(order[6..], [6, 2]);
+        assert!(evaluation_order(&g, &[]).is_empty());
     }
 
     #[test]

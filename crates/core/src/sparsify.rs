@@ -349,7 +349,10 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
         // score against it; the tree-resistance rankings never read it.
         let subgraph_factor = |stats: &mut IterationStats| {
             let t_factor = Timer::start("sparsify.factor");
-            let ls = subgraph_laplacian(g, &selected, &shifts);
+            let ls = {
+                let _span = tracered_obs::span!("sparsify.laplacian", { edges: selected.len() });
+                subgraph_laplacian(g, &selected, &shifts)
+            };
             let factor = factorize_resilient(&ls, factor_opts, stats);
             stats.factor_time = t_factor.stop();
             factor

@@ -6,10 +6,15 @@
 //! plain way — the tree path marked by climbing parents, a fresh FIFO BFS
 //! per endpoint, and two dot products per cross edge against a dense
 //! `z̃_pq` — with the same summation order. Every score must match under
-//! `to_bits`, at one thread and at four.
+//! `to_bits`, at one thread and at four, whatever the order of the
+//! candidate list and the numbering of the nodes: the library scores
+//! candidates in its own locality order and writes each score to its
+//! input slot.
 
 use std::collections::VecDeque;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tracered_core::criticality::{subgraph_phase_scores_threads, tree_phase_scores_threads};
 use tracered_graph::gen::{random_connected, WeightProfile};
 use tracered_graph::laplacian::subgraph_laplacian;
@@ -194,17 +199,39 @@ fn graph_with_parallel_edges(n: usize, extra: usize, seed: u64) -> Graph {
     Graph::from_edges(n, &edges).unwrap()
 }
 
+/// Seeded Fisher–Yates shuffle.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.random_range(0..i + 1));
+    }
+}
+
+/// `g` with its nodes renumbered by a seeded random permutation; edge
+/// ids and weights are kept.
+fn relabelled(g: &Graph, seed: u64) -> Graph {
+    let mut label: Vec<usize> = (0..g.num_nodes()).collect();
+    shuffle(&mut label, seed);
+    let edges: Vec<(usize, usize, f64)> =
+        g.edges().iter().map(|e| (label[e.u], label[e.v], e.weight)).collect();
+    Graph::from_edges(g.num_nodes(), &edges).unwrap()
+}
+
 /// Checks both phases on `g` with spanning tree `tree_edges` against the
 /// references, for the subgraph equal to the tree and to the tree plus
-/// every third off-tree edge.
-fn check_graph(g: &Graph, tree_edges: &[usize], what: &str) {
+/// every third off-tree edge. The candidate list is in edge-id order,
+/// or shuffled with `shuffle_seed`.
+fn check_graph(g: &Graph, tree_edges: &[usize], shuffle_seed: Option<u64>, what: &str) {
     let n = g.num_nodes();
     let tree = RootedTree::build(g, tree_edges, n / 2).unwrap();
     let mut in_tree = vec![false; g.num_edges()];
     for &id in tree_edges {
         in_tree[id] = true;
     }
-    let off_tree: Vec<usize> = (0..g.num_edges()).filter(|&id| !in_tree[id]).collect();
+    let mut off_tree: Vec<usize> = (0..g.num_edges()).filter(|&id| !in_tree[id]).collect();
+    if let Some(seed) = shuffle_seed {
+        shuffle(&mut off_tree, seed);
+    }
     let pairs: Vec<(usize, usize)> =
         off_tree.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
     let rs = tree_resistances(&tree, &pairs);
@@ -265,7 +292,7 @@ fn random_graphs_with_parallel_edges_match_the_reference() {
     for (n, extra, seed) in [(24, 30, 1), (40, 60, 2), (57, 40, 3), (33, 90, 4)] {
         let g = graph_with_parallel_edges(n, extra, seed);
         let st = spanning_tree(&g, TreeKind::MaxEffectiveWeight).unwrap();
-        check_graph(&g, &st.tree_edges, &format!("random n {n} seed {seed}"));
+        check_graph(&g, &st.tree_edges, None, &format!("random n {n} seed {seed}"));
     }
 }
 
@@ -276,7 +303,7 @@ fn short_cycle_where_the_balls_coincide_matches_the_reference() {
     let edges: Vec<(usize, usize, f64)> =
         (0..5).map(|i| (i, (i + 1) % 5, 1.0 + 0.25 * i as f64)).collect();
     let g = Graph::from_edges(5, &edges).unwrap();
-    check_graph(&g, &[0, 1, 2, 3], "5-cycle");
+    check_graph(&g, &[0, 1, 2, 3], None, "5-cycle");
 }
 
 #[test]
@@ -289,5 +316,24 @@ fn long_path_where_the_balls_are_disjoint_matches_the_reference() {
     edges.extend([(0, n - 1, 2.0), (3, 40, 1.5), (10, 50, 0.7), (20, 21, 3.0)]);
     let g = Graph::from_edges(n, &edges).unwrap();
     let tree_edges: Vec<usize> = (0..n - 1).collect();
-    check_graph(&g, &tree_edges, "64-path");
+    check_graph(&g, &tree_edges, None, "64-path");
+}
+
+#[test]
+fn shuffled_candidate_lists_match_the_reference_slot_by_slot() {
+    for (n, extra, seed) in [(24, 30, 1), (40, 60, 2), (57, 40, 3), (33, 90, 4)] {
+        let g = graph_with_parallel_edges(n, extra, seed);
+        let st = spanning_tree(&g, TreeKind::MaxEffectiveWeight).unwrap();
+        check_graph(&g, &st.tree_edges, Some(seed), &format!("shuffled n {n} seed {seed}"));
+    }
+}
+
+#[test]
+fn randomly_relabelled_graphs_match_the_reference() {
+    for (n, extra, seed) in [(24, 30, 1), (40, 60, 2), (57, 40, 3), (33, 90, 4)] {
+        let g = relabelled(&graph_with_parallel_edges(n, extra, seed), 100 + seed);
+        let st = spanning_tree(&g, TreeKind::MaxEffectiveWeight).unwrap();
+        check_graph(&g, &st.tree_edges, None, &format!("relabelled n {n} seed {seed}"));
+        check_graph(&g, &st.tree_edges, Some(seed), &format!("relabelled, shuffled n {n}"));
+    }
 }

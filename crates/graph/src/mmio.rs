@@ -27,23 +27,21 @@ pub struct MmGraph {
 /// Reads a graph from a Matrix Market `coordinate` file.
 ///
 /// Supported qualifiers: `real` / `integer` / `pattern`, `symmetric` /
-/// `general`. For `general` files both `(i, j)` and `(j, i)` may appear;
-/// duplicate off-diagonal entries are averaged.
+/// `general`. Off-diagonal entries of one pair sum their magnitudes in
+/// file order: duplicates in a `symmetric` file are parallel edges whose
+/// conductances add, while a `general` file lists `(i, j)` and `(j, i)`,
+/// so its sum is divided by the pair's entry count (the mirrors average).
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::ParseError`] on malformed content and
 /// [`GraphError::Io`] on read failure.
 pub fn read_graph<R: Read>(reader: R) -> Result<MmGraph, GraphError> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines().enumerate();
+    let mut lines = Lines { reader: BufReader::new(reader), buf: String::new(), lineno: 0 };
 
     // Header.
-    let (mut lineno, header) = match lines.next() {
-        Some((i, l)) => (i + 1, l?),
-        None => {
-            return Err(GraphError::ParseError { line: 1, what: "empty file".into() });
-        }
+    let Some((_, header)) = lines.next()? else {
+        return Err(GraphError::ParseError { line: 1, what: "empty file".into() });
     };
     let header_lower = header.to_lowercase();
     if !header_lower.starts_with("%%matrixmarket") {
@@ -68,13 +66,13 @@ pub fn read_graph<R: Read>(reader: R) -> Result<MmGraph, GraphError> {
     }
 
     // Size line (skipping comments).
-    let (n, _m, nnz) = loop {
-        let (i, l) = lines
-            .next()
-            .ok_or(GraphError::ParseError { line: lineno + 1, what: "missing size line".into() })?;
-        lineno = i + 1;
-        let l = l?;
-        let t = l.trim();
+    let (size_line, n, _m, nnz) = loop {
+        let missing = lines.lineno + 1;
+        let (lineno, line) = lines.next()?.ok_or_else(|| GraphError::ParseError {
+            line: missing,
+            what: "missing size line".into(),
+        })?;
+        let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
@@ -91,37 +89,35 @@ pub fn read_graph<R: Read>(reader: R) -> Result<MmGraph, GraphError> {
                 what: format!("invalid integer '{s}'"),
             })
         };
-        break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
+        break (lineno, parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
     };
 
     let mut diag = vec![0.0f64; n];
-    // Accumulate off-diagonal magnitudes keyed by (min, max) to merge
-    // general-format mirror entries.
-    let mut acc: std::collections::HashMap<(usize, usize), (f64, usize)> =
-        std::collections::HashMap::with_capacity(nnz);
+    // Off-diagonal magnitudes as `(min, max, |a|)`, in file order.
+    let mut entries: Vec<(usize, usize, f64)> = Vec::new();
     let mut seen = 0usize;
-    for (i, l) in lines {
-        let lineno = i + 1;
-        let l = l?;
-        let t = l.trim();
+    let expect = if pattern { 2 } else { 3 };
+    while let Some((lineno, line)) = lines.next()? {
+        let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        let expect = if pattern { 2 } else { 3 };
-        if parts.len() < expect {
-            return Err(GraphError::ParseError {
+        let mut fields = t.split_whitespace();
+        let mut field = || {
+            fields.next().ok_or_else(|| GraphError::ParseError {
                 line: lineno,
                 what: format!("entry line must have {expect} fields"),
-            });
-        }
-        let r: usize = parts[0].parse().map_err(|_| GraphError::ParseError {
+            })
+        };
+        let (row, col) = (field()?, field()?);
+        let value = if pattern { None } else { Some(field()?) };
+        let r: usize = row.parse().map_err(|_| GraphError::ParseError {
             line: lineno,
-            what: format!("invalid row index '{}'", parts[0]),
+            what: format!("invalid row index '{row}'"),
         })?;
-        let c: usize = parts[1].parse().map_err(|_| GraphError::ParseError {
+        let c: usize = col.parse().map_err(|_| GraphError::ParseError {
             line: lineno,
-            what: format!("invalid column index '{}'", parts[1]),
+            what: format!("invalid column index '{col}'"),
         })?;
         if r == 0 || c == 0 || r > n || c > n {
             return Err(GraphError::ParseError {
@@ -129,13 +125,12 @@ pub fn read_graph<R: Read>(reader: R) -> Result<MmGraph, GraphError> {
                 what: format!("entry ({r}, {c}) out of bounds for size {n}"),
             });
         }
-        let v: f64 = if pattern {
-            1.0
-        } else {
-            parts[2].parse().map_err(|_| GraphError::ParseError {
+        let v: f64 = match value {
+            None => 1.0,
+            Some(s) => s.parse().map_err(|_| GraphError::ParseError {
                 line: lineno,
-                what: format!("invalid value '{}'", parts[2]),
-            })?
+                what: format!("invalid value '{s}'"),
+            })?,
         };
         if !v.is_finite() {
             return Err(GraphError::ParseError {
@@ -147,34 +142,36 @@ pub fn read_graph<R: Read>(reader: R) -> Result<MmGraph, GraphError> {
         if r == c {
             diag[r] += v;
         } else {
-            let key = (r.min(c), r.max(c));
-            let e = acc.entry(key).or_insert((0.0, 0));
-            e.0 += v.abs();
-            e.1 += 1;
+            entries.push((r.min(c), r.max(c), v.abs()));
         }
         seen += 1;
     }
     if seen != nnz {
         return Err(GraphError::ParseError {
-            line: lineno,
+            line: size_line,
             what: format!("expected {nnz} entries, found {seen}"),
         });
     }
-    let mut edges: Vec<(usize, usize, f64)> = acc
-        .into_iter()
-        .map(|((u, v), (sum, count))| {
-            // Symmetric files store each edge once, so duplicates are
-            // genuine parallel edges whose conductances add. General files
-            // mirror every off-diagonal entry, so the pair averages back to
-            // the single edge weight.
-            let w = if symmetric { sum } else { sum / count as f64 };
-            (u, v, w)
-        })
-        .filter(|&(_, _, w)| w > 0.0)
-        .collect();
-    edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+    // The sort is stable, so each pair's run keeps file order and sums
+    // from 0.0 as a running total over the file would.
+    entries.sort_by_key(|&(u, v, _)| (u, v));
+    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
+    let mut rest = entries.as_slice();
+    while let Some(&(u, v, _)) = rest.first() {
+        let count = rest.iter().take_while(|e| (e.0, e.1) == (u, v)).count();
+        let sum = rest[..count].iter().fold(0.0, |sum, e| sum + e.2);
+        // Symmetric files store each edge once, so duplicates are
+        // genuine parallel edges whose conductances add. General files
+        // mirror every off-diagonal entry, so the pair averages back to
+        // the single edge weight.
+        let w = if symmetric { sum } else { sum / count as f64 };
+        if w > 0.0 {
+            edges.push((u, v, w));
+        }
+        rest = &rest[count..];
+    }
     let graph = Graph::from_edges(n, &edges).map_err(|e| GraphError::ParseError {
-        line: lineno,
+        line: size_line,
         what: format!("invalid graph: {e}"),
     })?;
     // Diagonal slack = diagonal − weighted degree (clamped at 0).
@@ -185,6 +182,29 @@ pub fn read_graph<R: Read>(reader: R) -> Result<MmGraph, GraphError> {
         .map(|(&d, &wd)| if d == 0.0 { 0.0 } else { (d - wd).max(0.0) })
         .collect();
     Ok(MmGraph { graph, diag_slack })
+}
+
+/// The lines of a Matrix Market file, read one at a time into one reused
+/// buffer.
+struct Lines<R> {
+    reader: BufReader<R>,
+    buf: String,
+    /// Number of lines read so far: the one-based number of the line in
+    /// `buf`.
+    lineno: usize,
+}
+
+impl<R: Read> Lines<R> {
+    /// The next line's number and text (with its line ending), or `None`
+    /// at end of file.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, GraphError> {
+        self.buf.clear();
+        if self.reader.read_line(&mut self.buf)? == 0 {
+            return Ok(None);
+        }
+        self.lineno += 1;
+        Ok(Some((self.lineno, &self.buf)))
+    }
 }
 
 /// Reads a graph from a Matrix Market file on disk.
@@ -308,6 +328,72 @@ mod tests {
             assert_eq!(o.1, b.1);
             assert!((o.2 - b.2).abs() < 1e-12);
         }
+    }
+
+    /// The edges of `text` as `(u, v, weight)` in edge-id order.
+    fn edges_of(text: &str) -> Vec<(usize, usize, f64)> {
+        let mm = read_graph(text.as_bytes()).unwrap();
+        mm.graph.edges().iter().map(|e| (e.u, e.v, e.weight)).collect()
+    }
+
+    #[test]
+    fn duplicate_entries_sum_in_file_order() {
+        // 1e16 + 1 rounds back to 1e16, so the sum shows its order.
+        let head = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n";
+        let big_first = format!("{head}2 1 -1e16\n1 2 -1\n2 1 -1\n");
+        assert_eq!(edges_of(&big_first), [(0, 1, 1e16)]);
+        let big_last = format!("{head}2 1 -1\n1 2 -1\n2 1 -1e16\n");
+        assert_eq!(edges_of(&big_last), [(0, 1, 1e16 + 2.0)]);
+    }
+
+    #[test]
+    fn mirrored_general_entries_average() {
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+                    3 3 4\n\
+                    1 2 -1.0\n\
+                    3 2 -0.5\n\
+                    2 1 -3.0\n\
+                    2 3 -0.25\n";
+        assert_eq!(edges_of(text), [(0, 1, 2.0), (1, 2, 0.375)]);
+    }
+
+    #[test]
+    fn crlf_line_endings_and_interleaved_comments_are_accepted() {
+        let text = "%%MatrixMarket matrix coordinate real symmetric\r\n\
+                    % header comment\r\n\
+                    3 3 3\r\n\
+                    1 1 4.0\r\n\
+                    % between entries\r\n\
+                    \r\n\
+                    2 1 -1.5\r\n\
+                    %\r\n\
+                    3 1 -2.5";
+        let mm = read_graph(text.as_bytes()).unwrap();
+        let edges: Vec<_> = mm.graph.edges().iter().map(|e| (e.u, e.v, e.weight)).collect();
+        assert_eq!(edges, [(0, 1, 1.5), (0, 2, 2.5)]);
+        assert_eq!(mm.diag_slack, [0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn general_pattern_file_reads_with_unit_weights() {
+        let text = "%%MatrixMarket matrix coordinate pattern general\n\
+                    3 3 4\n\
+                    1 2\n\
+                    2 1\n\
+                    3 2\n\
+                    2 3\n";
+        assert_eq!(edges_of(text), [(0, 1, 1.0), (1, 2, 1.0)]);
+    }
+
+    #[test]
+    fn entries_out_of_order_come_back_sorted() {
+        let text = "%%MatrixMarket matrix coordinate real symmetric\n\
+                    4 4 4\n\
+                    4 3 -1.0\n\
+                    2 1 -2.0\n\
+                    4 1 -3.0\n\
+                    3 2 -4.0\n";
+        assert_eq!(edges_of(text), [(0, 1, 2.0), (0, 3, 3.0), (1, 2, 4.0), (2, 3, 1.0)]);
     }
 
     #[test]

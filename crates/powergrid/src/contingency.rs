@@ -677,8 +677,14 @@ pub fn simulate_contingency_batch(
                 if let Some(h) = hook {
                     h.outage_applied(&event);
                 }
-                let x = factor.solve(&rhs);
-                let rel = perturbed_rel_residual(&g, u, v, dw, &x, &rhs, rhs_inf);
+                let x = {
+                    let _span = tracered_obs::span!("contingency.solve");
+                    factor.solve(&rhs)
+                };
+                let rel = {
+                    let _span = tracered_obs::span!("contingency.residual");
+                    perturbed_rel_residual(&g, u, v, dw, &x, &rhs, rhs_inf)
+                };
                 outcomes[i] =
                     Some(classify_solve(i, x, rel, cfg.residual_tol, probes, 0, false, 0.0));
                 // Bit-exact revert through the factor's undo journal.

@@ -101,6 +101,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sparsify.tree",
         "sparsify.iter",
         "sparsify.spai",
+        "sparsify.factor",
+        "sparsify.laplacian",
         "sparsify.score.tree",
         "sparsify.score.subgraph",
         "chol.order",
