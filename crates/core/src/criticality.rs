@@ -61,6 +61,7 @@
 //! table is built on the same workers in node chunks concatenated in
 //! chunk order, so it too is the same at every thread count.
 
+use tracered_graph::bfs::bfs;
 use tracered_graph::tree::NO_NODE;
 use tracered_graph::{Graph, RootedTree};
 use tracered_sparse::sparsevec::{dot, dot_dense};
@@ -70,6 +71,10 @@ use tracered_sparse::{ApproxInverse, CholeskyFactor};
 /// traffic, so modest chunks still amortise scratch reuse while giving
 /// the scheduler enough pieces to balance skewed neighbourhood sizes.
 const MIN_CHUNK: usize = 16;
+
+/// Why the [`bfs`] sweeps cannot fail: node ids fit in `u32`, as the
+/// approximate inverse's row indices do.
+const U32_IDS: &str = "node ids fit in u32";
 
 /// Reusable scratch for tree-phase scoring — one arena per worker.
 struct TreeScratch {
@@ -193,31 +198,22 @@ pub fn tree_phase_scores_threads(
 /// BFS rank of each candidate's two endpoints, input order within a
 /// bucket.
 ///
-/// The rank comes from one BFS over `g` (node 0 first, then each
-/// unvisited node in id order, so every component is ranked): the level
-/// order of Cuthill–McKee without its degree sort. Unlike the node ids it
-/// keeps neighbouring candidates close on any node numbering. The
-/// bucketing is a stable counting sort, `O(n + k)`.
+/// The rank comes from one BFS over `g` ([`bfs`] unbounded from node 0,
+/// then from each unvisited node in id order under the same stamp, so
+/// every component is ranked): the level order of Cuthill–McKee without
+/// its degree sort. Unlike the node ids it keeps neighbouring candidates
+/// close on any node numbering. The bucketing is a stable counting sort,
+/// `O(n + k)`.
 fn evaluation_order(g: &Graph, candidates: &[usize]) -> Vec<usize> {
     let n = g.num_nodes();
-    let mut rank = vec![usize::MAX; n];
+    let mut seen = vec![0u64; n];
     let mut queue = Vec::with_capacity(n);
-    let mut head = 0;
     for root in 0..n {
-        if rank[root] != usize::MAX {
-            continue;
-        }
-        rank[root] = queue.len();
-        queue.push(root);
-        while let Some(&x) = queue.get(head) {
-            head += 1;
-            for &(y, _) in g.neighbors(x) {
-                if rank[y] == usize::MAX {
-                    rank[y] = queue.len();
-                    queue.push(y);
-                }
-            }
-        }
+        bfs(g, root, usize::MAX, 1, &mut seen, &mut queue).expect(U32_IDS);
+    }
+    let mut rank = vec![0usize; n];
+    for (r, &v) in queue.iter().enumerate() {
+        rank[v as usize] = r;
     }
     let bucket: Vec<usize> = candidates
         .iter()
@@ -366,10 +362,10 @@ pub fn subgraph_phase_scores(
 }
 
 /// Every node's β-ball in the subgraph, in the order a FIFO BFS visits
-/// it: ball `v` is `nodes[offsets[v]..offsets[v + 1]]`. It holds
-/// `Σ_v |ball(v)|` entries, so its size grows with β like the work of
-/// the per-candidate BFS it replaces. Node ids fit in `u32` because the
-/// approximate inverse it is scored with does.
+/// it ([`bfs`] with a fresh stamp per node): ball `v` is
+/// `nodes[offsets[v]..offsets[v + 1]]`. It holds `Σ_v |ball(v)|`
+/// entries, so its size grows with β like the work of the per-candidate
+/// BFS it replaces.
 struct BallTable {
     offsets: Vec<usize>,
     nodes: Vec<u32>,
@@ -391,7 +387,8 @@ impl BallTable {
                 let (nodes, ends) = &mut out[0];
                 for v in k * chunk..n.min((k + 1) * chunk) {
                     scratch.stamp += 1;
-                    push_ball(subgraph, v, beta, scratch.stamp, &mut scratch.member_q, nodes);
+                    bfs(subgraph, v, beta, scratch.stamp, &mut scratch.member_q, nodes)
+                        .expect(U32_IDS);
                     ends.push(nodes.len());
                 }
             },
@@ -411,36 +408,6 @@ impl BallTable {
 
     fn ball(&self, v: usize) -> &[u32] {
         &self.nodes[self.offsets[v]..self.offsets[v + 1]]
-    }
-}
-
-/// Appends the nodes within `beta` hops of `start` in `subgraph` to
-/// `out` in FIFO-BFS order, by a level-synchronous sweep that uses `out`
-/// itself as the queue.
-fn push_ball(
-    subgraph: &Graph,
-    start: usize,
-    beta: usize,
-    stamp: u64,
-    member: &mut [u64],
-    out: &mut Vec<u32>,
-) {
-    member[start] = stamp;
-    let mut level = out.len()..out.len() + 1;
-    out.push(start as u32);
-    for _ in 0..beta {
-        for at in level.clone() {
-            for &(nbr, _) in subgraph.neighbors(out[at] as usize) {
-                if member[nbr] != stamp {
-                    member[nbr] = stamp;
-                    out.push(nbr as u32);
-                }
-            }
-        }
-        level = level.end..out.len();
-        if level.is_empty() {
-            break;
-        }
     }
 }
 

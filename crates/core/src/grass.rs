@@ -47,11 +47,12 @@ pub fn grass_scores(
 /// [`grass_scores`] with the probe evaluations fanned out over
 /// `threads` workers.
 ///
-/// The random ±1 probes are drawn serially (preserving the RNG stream),
-/// then each probe's power iteration and candidate scoring run as an
-/// independent work-stealing job with private `h`/`tmp` buffers. Probe
-/// contributions are reduced in probe order, so results are
-/// bit-identical to the serial path for every thread count.
+/// Probes are drawn and evaluated in rounds of `threads`: each round
+/// draws its probes serially (continuing the RNG stream), runs each
+/// probe's power iteration and candidate scoring as one job on its own
+/// `h`/`tmp`/terms buffers, and adds the terms to the scores in probe
+/// order. The scores are therefore bit-identical at every thread count,
+/// and one thread holds one probe at a time.
 ///
 /// # Panics
 ///
@@ -73,59 +74,28 @@ pub fn grass_scores_threads(
     assert!(power_steps > 0, "at least one power step is required");
     let k = candidates.len();
     let mut scores = vec![0.0f64; k];
-    if threads <= 1 {
-        // Streaming serial path: draw-and-consume one probe at a time
-        // in O(n) scratch, accumulating into `scores` in probe order.
-        let mut h = vec![0.0f64; n];
-        let mut tmp = vec![0.0f64; n];
-        for _ in 0..num_vectors {
-            draw_probe(&mut h, rng);
-            power_iterate(lg, factor, power_steps, &mut h, &mut tmp);
-            for (s, &eid) in scores.iter_mut().zip(candidates.iter()) {
-                let e = g.edge(eid);
-                let d = h[e.u] - h[e.v];
-                *s += e.weight * d * d;
-            }
+    // One (probe, power-iteration temp, per-candidate terms) per job.
+    let round = threads.clamp(1, num_vectors.max(1));
+    let mut jobs = vec![(vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; k]); round];
+    let mut drawn = 0;
+    while drawn < num_vectors {
+        let r = round.min(num_vectors - drawn);
+        drawn += r;
+        for (h, _, _) in &mut jobs[..r] {
+            draw_probe(h, rng);
         }
-        return scores;
-    }
-    // Parallel path: draw every probe up front in the same serial stream
-    // order, fan the probe evaluations out, then reduce in probe order —
-    // the exact accumulation order of the serial loop above.
-    let probes: Vec<Vec<f64>> = (0..num_vectors)
-        .map(|_| {
-            let mut h = vec![0.0f64; n];
-            draw_probe(&mut h, rng);
-            h
-        })
-        .collect();
-    if k == 0 || num_vectors == 0 {
-        return scores;
-    }
-    // One work item per probe: contributions[j*k..(j+1)*k] holds probe
-    // j's per-candidate terms.
-    let mut contributions = vec![0.0f64; num_vectors * k];
-    tracered_par::par_chunks_mut_scratch(
-        &mut contributions,
-        k,
-        threads,
-        crate::workspace::vec_pair_factory(n),
-        |ws, start, out| {
-            let (h, tmp) = (&mut ws.a, &mut ws.b);
-            let j = start / k;
-            h.copy_from_slice(&probes[j]);
+        tracered_par::par_jobs(jobs[..r].iter_mut().collect(), threads, |(h, tmp, terms)| {
             power_iterate(lg, factor, power_steps, h, tmp);
-            for (slot, &eid) in out.iter_mut().zip(candidates.iter()) {
+            for (slot, &eid) in terms.iter_mut().zip(candidates.iter()) {
                 let e = g.edge(eid);
                 let d = h[e.u] - h[e.v];
                 *slot = e.weight * d * d;
             }
-        },
-    );
-    for j in 0..num_vectors {
-        let part = &contributions[j * k..(j + 1) * k];
-        for (s, &c) in scores.iter_mut().zip(part.iter()) {
-            *s += c;
+        });
+        for (_, _, terms) in &jobs[..r] {
+            for (s, &c) in scores.iter_mut().zip(terms) {
+                *s += c;
+            }
         }
     }
     scores

@@ -55,7 +55,6 @@ pub mod partitioned;
 pub mod similarity;
 #[warn(clippy::unwrap_used)]
 pub mod sparsify;
-mod workspace;
 
 pub use config::{Method, SparsifyConfig};
 pub use error::CoreError;

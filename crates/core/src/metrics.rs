@@ -75,10 +75,12 @@ pub fn trace_proxy_hutchinson(
 /// [`trace_proxy_hutchinson`] with the probe evaluations fanned out over
 /// `threads` workers.
 ///
-/// Probes are drawn serially (fixed RNG stream), each probe's
-/// matvec-and-solve runs as an independent work item with private
-/// buffers, and the per-probe quadratic forms are averaged in probe
-/// order — bit-identical to the serial path for every thread count.
+/// Probes are drawn and evaluated in rounds of `threads`: each round
+/// draws its probes serially (continuing the fixed RNG stream), runs
+/// each probe's matvec-and-solve as one job on its own buffers, and adds
+/// the quadratic forms in probe order. The estimate is therefore
+/// bit-identical at every thread count, and one thread holds one probe
+/// at a time.
 ///
 /// # Panics
 ///
@@ -94,44 +96,29 @@ pub fn trace_proxy_hutchinson_threads(
     assert_eq!(lp_factor.n(), n, "dimensions must agree");
     assert!(probes > 0, "at least one probe is required");
     let mut rng = StdRng::seed_from_u64(seed);
-    if threads <= 1 {
-        // Streaming serial path: one probe at a time in O(n) scratch,
-        // accumulated in probe order.
-        let mut z = vec![0.0f64; n];
-        let mut lgz = vec![0.0f64; n];
-        let mut y = vec![0.0f64; n];
-        let mut acc = 0.0;
-        for _ in 0..probes {
+    // One (z, L_G z, L_P⁻¹ L_G z, zᵀ L_P⁻¹ L_G z) per job.
+    let round = threads.clamp(1, probes);
+    let mut jobs = vec![(vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n], 0.0f64); round];
+    let mut acc = 0.0;
+    let mut drawn = 0;
+    while drawn < probes {
+        let r = round.min(probes - drawn);
+        drawn += r;
+        for (z, _, _, _) in &mut jobs[..r] {
             for zi in z.iter_mut() {
                 *zi = if rng.random::<bool>() { 1.0 } else { -1.0 };
             }
-            lg.matvec_into(&z, &mut lgz);
-            lp_factor.solve_into(&lgz, &mut y);
-            acc += z.iter().zip(y.iter()).map(|(a, b)| a * b).sum::<f64>();
         }
-        return acc / probes as f64;
-    }
-    // Parallel path: probes drawn up front in the same stream order, one
-    // work item each, quadratic forms summed in probe order — identical
-    // to the serial accumulation.
-    let probe_vecs: Vec<Vec<f64>> = (0..probes)
-        .map(|_| (0..n).map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 }).collect())
-        .collect();
-    let mut terms = vec![0.0f64; probes];
-    tracered_par::par_chunks_mut_scratch(
-        &mut terms,
-        1,
-        threads,
-        crate::workspace::vec_pair_factory(n),
-        |ws, start, out| {
-            let (lgz, y) = (&mut ws.a, &mut ws.b);
-            let z = &probe_vecs[start];
+        tracered_par::par_jobs(jobs[..r].iter_mut().collect(), threads, |(z, lgz, y, term)| {
             lg.matvec_into(z, lgz);
             lp_factor.solve_into(lgz, y);
-            out[0] = z.iter().zip(y.iter()).map(|(a, b)| a * b).sum::<f64>();
-        },
-    );
-    terms.iter().sum::<f64>() / probes as f64
+            *term = z.iter().zip(y.iter()).map(|(a, b)| a * b).sum::<f64>();
+        });
+        for (_, _, _, term) in &jobs[..r] {
+            acc += term;
+        }
+    }
+    acc / probes as f64
 }
 
 /// Exact `Trace(L_P⁻¹ L_G)` via `n` solves — `O(n²)`-ish on sparse

@@ -9,10 +9,13 @@
 //! a candidate whose **both** endpoints are already marked in the current
 //! densification iteration is skipped. Marks reset each iteration, when
 //! criticalities are re-computed against the enlarged subgraph.
+//!
+//! Each neighbourhood is a fresh γ-layer BFS ([`bfs`]) under its own
+//! visit stamp, kept apart from the iteration's marks: every node within
+//! γ hops of `p` or `q` is marked, whichever nodes earlier recoveries
+//! marked and in whichever order the endpoints come.
 
-use std::collections::VecDeque;
-
-use tracered_graph::bfs::mark_neighborhood;
+use tracered_graph::bfs::bfs;
 use tracered_graph::Graph;
 
 /// Tracks which nodes have been "covered" by edges recovered in the
@@ -37,17 +40,29 @@ use tracered_graph::Graph;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimilarityExclusion {
+    /// Coverage marks: node `v` is covered this iteration when
+    /// `marks[v] == stamp`.
     marks: Vec<u64>,
     stamp: u64,
     layers: usize,
-    queue: VecDeque<(usize, usize)>,
+    /// Per-search BFS visit stamps, `searches` the latest.
+    visited: Vec<u64>,
+    searches: u64,
+    ball: Vec<u32>,
 }
 
 impl SimilarityExclusion {
     /// Creates an exclusion tracker for `n` nodes with BFS radius
     /// `layers`.
     pub fn new(n: usize, layers: usize) -> Self {
-        SimilarityExclusion { marks: vec![0; n], stamp: 0, layers, queue: VecDeque::new() }
+        SimilarityExclusion {
+            marks: vec![0; n],
+            stamp: 0,
+            layers,
+            visited: vec![0; n],
+            searches: 0,
+            ball: Vec::new(),
+        }
     }
 
     /// Starts a new densification iteration (clears all marks in O(1)).
@@ -55,16 +70,25 @@ impl SimilarityExclusion {
         self.stamp += 1;
     }
 
-    /// Marks the neighbourhoods of a recovered edge's endpoints. The BFS
-    /// runs in `subgraph` (the current sparsifier), where spectral
-    /// proximity lives.
+    /// Marks the γ-layer neighbourhoods of a recovered edge's endpoints.
+    /// The BFS runs in `subgraph` (the current sparsifier), where
+    /// spectral proximity lives.
     ///
     /// # Panics
     ///
-    /// Panics if the subgraph has a different node count.
+    /// Panics if the subgraph has a different node count or an endpoint
+    /// is not one of its nodes.
     pub fn mark_recovered(&mut self, subgraph: &Graph, p: usize, q: usize) {
-        mark_neighborhood(subgraph, p, self.layers, &mut self.marks, self.stamp, &mut self.queue);
-        mark_neighborhood(subgraph, q, self.layers, &mut self.marks, self.stamp, &mut self.queue);
+        assert_eq!(subgraph.num_nodes(), self.marks.len(), "subgraph has a different node count");
+        for start in [p, q] {
+            self.searches += 1;
+            self.ball.clear();
+            bfs(subgraph, start, self.layers, self.searches, &mut self.visited, &mut self.ball)
+                .expect("recovered edge endpoints are subgraph nodes");
+            for &v in &self.ball {
+                self.marks[v as usize] = self.stamp;
+            }
+        }
     }
 
     /// Returns `true` when the candidate edge `(u, v)` should be skipped:
@@ -122,6 +146,38 @@ mod tests {
         excl.begin_iteration();
         assert!(!excl.is_excluded(2, 3));
         assert_eq!(excl.marked_count(), 0);
+    }
+
+    #[test]
+    fn marks_reach_gamma_layers_in_either_endpoint_order() {
+        // γ = 2 on the path 0–5: the balls of 0 and 1 are {0, 1, 2} and
+        // {0, 1, 2, 3}, so node 3 is covered whichever endpoint comes
+        // first, although the first ball already marked 1 and 2.
+        let g = path(6);
+        for (p, q) in [(0, 1), (1, 0)] {
+            let mut excl = SimilarityExclusion::new(6, 2);
+            excl.begin_iteration();
+            excl.mark_recovered(&g, p, q);
+            assert_eq!(excl.marked_count(), 4, "endpoints ({p}, {q})");
+            assert!(excl.is_excluded(2, 3), "endpoints ({p}, {q})");
+            assert!(!excl.is_excluded(3, 4), "endpoints ({p}, {q})");
+        }
+    }
+
+    #[test]
+    fn earlier_marks_do_not_stop_a_later_neighbourhood() {
+        // γ = 2 on the path 0–5: recovering at 3 covers {1, ..., 5}.
+        // Recovering at 2 then walks through the covered node 1 to
+        // reach 0.
+        let g = path(6);
+        let mut excl = SimilarityExclusion::new(6, 2);
+        excl.begin_iteration();
+        excl.mark_recovered(&g, 3, 3);
+        assert_eq!(excl.marked_count(), 5);
+        assert!(!excl.is_excluded(0, 1));
+        excl.mark_recovered(&g, 2, 2);
+        assert_eq!(excl.marked_count(), 6);
+        assert!(excl.is_excluded(0, 1));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests pinning the parallel scoring engine's determinism
-//! contract: for every thread count, scores are **bit-identical** to the
-//! serial (`threads = 1`) path, in the same candidate order.
+//! contract: for every thread count, scores and the Hutchinson trace
+//! estimate are **bit-identical** to the serial (`threads = 1`) path, in
+//! the same candidate order.
 
 use proptest::prelude::*;
 use tracered_core::criticality::{subgraph_phase_scores_threads, tree_phase_scores_threads};
 use tracered_core::grass::{grass_scores_threads, probe_rng};
+use tracered_core::metrics::trace_proxy_hutchinson_threads;
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{random_connected, WeightProfile};
 use tracered_graph::laplacian::{laplacian_with_shifts, subgraph_laplacian};
@@ -76,6 +78,19 @@ proptest! {
             &g, &lg, &factor, &st.off_tree_edges, 2, 3, &mut probe_rng(seed), threads,
         );
         prop_assert!(bits_equal(&serial, &par), "{threads} threads, seed {seed}");
+    }
+
+    #[test]
+    fn hutchinson_parallel_is_bit_identical(g in arb_graph(), threads in 2usize..9, seed in 0u64..50) {
+        // Seven probes leave a partial last round at most thread counts.
+        let st = spanning_tree(&g, TreeKind::MaxEffectiveWeight).unwrap();
+        let shifts = vec![1e-3; g.num_nodes()];
+        let lg = laplacian_with_shifts(&g, &shifts);
+        let ls = subgraph_laplacian(&g, &st.tree_edges, &shifts);
+        let factor = CholeskyFactor::factorize(&ls, Ordering::MinDegree).unwrap();
+        let serial = trace_proxy_hutchinson_threads(&lg, &factor, 7, seed, 1);
+        let par = trace_proxy_hutchinson_threads(&lg, &factor, 7, seed, threads);
+        prop_assert_eq!(serial.to_bits(), par.to_bits(), "{} threads, seed {}", threads, seed);
     }
 
     #[test]

@@ -1,128 +1,89 @@
-//! β-layer breadth-first search neighbourhoods.
+//! Bounded breadth-first search: the one BFS the trace-reduction
+//! sparsifier runs over a graph.
 //!
 //! The paper's truncated trace reduction (its Eq. 12) restricts the
 //! summation to graph edges running between `Nbr(p, β)` and `Nbr(q, β)`,
 //! the node sets found by β-layer BFS from the candidate edge's endpoints.
 //! The BFS is performed **in the current subgraph** (where the electrical
 //! model lives), while the edges that get summed come from the full graph.
+//! [`bfs`] serves three callers in `tracered-core`: the subgraph phase's
+//! table of every node's β-ball, the evaluators' locality order (one
+//! unbounded sweep per unvisited root), and the γ-layer marking of
+//! similarity exclusion.
 
+use crate::error::GraphError;
 use crate::graph::Graph;
 
-/// A node discovered by [`bfs_layers`], with its BFS predecessor
-/// information.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BfsNode {
-    /// The discovered node.
-    pub node: usize,
-    /// BFS predecessor (`node` itself for the start node).
-    pub pred: usize,
-    /// Id of the edge from `pred` to `node` (`usize::MAX` for the start).
-    pub pred_edge: usize,
-    /// BFS depth (0 for the start node).
-    pub depth: usize,
-}
-
-/// Reusable scratch space for repeated BFS traversals over the same node
-/// set, avoiding an O(n) clear per call.
-#[derive(Debug, Clone)]
-pub struct BfsScratch {
-    mark: Vec<u64>,
-    round: u64,
-    queue: std::collections::VecDeque<(usize, usize)>,
-}
-
-impl BfsScratch {
-    /// Creates scratch space for graphs with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        BfsScratch { mark: vec![0; n], round: 0, queue: std::collections::VecDeque::new() }
-    }
-
-    /// Dimension the scratch was created for.
-    pub fn len(&self) -> usize {
-        self.mark.len()
-    }
-
-    /// Returns `true` when created for an empty node set.
-    pub fn is_empty(&self) -> bool {
-        self.mark.is_empty()
-    }
-}
-
-/// Collects the nodes within `layers` BFS layers of `start` in graph `g`,
-/// in discovery order (the start node first, depth 0).
+/// Appends `start` and every node within `layers` hops of it in `g` to
+/// `out`, in FIFO-BFS order (neighbours in adjacency order), by a
+/// level-synchronous sweep that uses `out` itself as the queue.
+///
+/// Each appended node gets `visited[node] = stamp`. A node already
+/// carrying `stamp` — `start` included — is neither appended nor
+/// expanded, so a fresh stamp per call gives a fresh search, and one
+/// stamp across calls continues a search over several roots. Entries
+/// already in `out` are left alone.
+///
+/// # Errors
+///
+/// Returns [`GraphError::NodeOutOfBounds`] if `start` is not a node of
+/// `g`, or if a node id does not fit in `u32` (`out` holds `u32` ids).
+/// `out` may then hold part of the search.
 ///
 /// # Panics
 ///
-/// Panics if `start` is out of bounds or `scratch` was created for a
-/// different node count.
-pub fn bfs_layers(
+/// Panics if `visited` is shorter than `g.num_nodes()`.
+///
+/// # Example
+///
+/// ```
+/// use tracered_graph::bfs::bfs;
+/// use tracered_graph::Graph;
+///
+/// # fn main() -> Result<(), tracered_graph::GraphError> {
+/// let g = Graph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])?;
+/// let mut visited = vec![0u64; 5];
+/// let mut ball = Vec::new();
+/// bfs(&g, 2, 1, 1, &mut visited, &mut ball)?;
+/// assert_eq!(ball, [2, 1, 3]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn bfs(
     g: &Graph,
     start: usize,
     layers: usize,
-    scratch: &mut BfsScratch,
-) -> Vec<BfsNode> {
-    assert_eq!(scratch.len(), g.num_nodes(), "scratch sized for a different graph");
-    assert!(start < g.num_nodes(), "start node out of bounds");
-    scratch.round += 1;
-    let round = scratch.round;
-    let mut out = Vec::new();
-    scratch.queue.clear();
-    scratch.queue.push_back((start, 0));
-    scratch.mark[start] = round;
-    out.push(BfsNode { node: start, pred: start, pred_edge: usize::MAX, depth: 0 });
-    while let Some((v, d)) = scratch.queue.pop_front() {
-        if d == layers {
-            continue;
-        }
-        for &(u, edge_id) in g.neighbors(v) {
-            if scratch.mark[u] != round {
-                scratch.mark[u] = round;
-                out.push(BfsNode { node: u, pred: v, pred_edge: edge_id, depth: d + 1 });
-                scratch.queue.push_back((u, d + 1));
-            }
-        }
-    }
-    out
-}
-
-/// Marks the nodes within `layers` BFS layers of `start` by setting
-/// `marks[node] = stamp`. Returns the number of nodes marked.
-///
-/// This is the cheap variant used by the similarity-exclusion rule, where
-/// only membership matters.
-///
-/// # Panics
-///
-/// Panics if `start` or `marks` are inconsistent with `g`.
-pub fn mark_neighborhood(
-    g: &Graph,
-    start: usize,
-    layers: usize,
-    marks: &mut [u64],
     stamp: u64,
-    queue: &mut std::collections::VecDeque<(usize, usize)>,
-) -> usize {
-    assert_eq!(marks.len(), g.num_nodes(), "marks sized for a different graph");
-    let mut count = 0;
-    queue.clear();
-    if marks[start] != stamp {
-        marks[start] = stamp;
-        count += 1;
+    visited: &mut [u64],
+    out: &mut Vec<u32>,
+) -> Result<(), GraphError> {
+    let n = g.num_nodes();
+    let id = |node: usize| match u32::try_from(node) {
+        Ok(id) if node < n => Ok(id),
+        _ => Err(GraphError::NodeOutOfBounds { node, num_nodes: n }),
+    };
+    let first = id(start)?;
+    if visited[start] == stamp {
+        return Ok(());
     }
-    queue.push_back((start, 0));
-    while let Some((v, d)) = queue.pop_front() {
-        if d == layers {
-            continue;
-        }
-        for &(u, _) in g.neighbors(v) {
-            if marks[u] != stamp {
-                marks[u] = stamp;
-                count += 1;
-                queue.push_back((u, d + 1));
+    visited[start] = stamp;
+    let mut level = out.len()..out.len() + 1;
+    out.push(first);
+    for _ in 0..layers {
+        for at in level.clone() {
+            for &(nbr, _) in g.neighbors(out[at] as usize) {
+                if visited[nbr] != stamp {
+                    visited[nbr] = stamp;
+                    out.push(id(nbr)?);
+                }
             }
         }
+        level = level.end..out.len();
+        if level.is_empty() {
+            break;
+        }
     }
-    count
+    Ok(())
 }
 
 #[cfg(test)]
@@ -134,83 +95,94 @@ mod tests {
         Graph::from_edges(n, &edges).unwrap()
     }
 
+    fn ball(g: &Graph, start: usize, layers: usize) -> Vec<u32> {
+        let mut visited = vec![0u64; g.num_nodes()];
+        let mut out = Vec::new();
+        bfs(g, start, layers, 1, &mut visited, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn fifo_order_follows_adjacency_order() {
+        // A star 0–{3, 1, 4} with tails 1–2 and 3–5. The first layer
+        // comes in adjacency (edge) order, 3 before 1; the second in the
+        // order its parents were queued, so 3's 5 before 1's 2.
+        let edges = [(0, 3, 1.0), (0, 1, 1.0), (0, 4, 1.0), (1, 2, 1.0), (3, 5, 1.0)];
+        let g = Graph::from_edges(6, &edges).unwrap();
+        assert_eq!(ball(&g, 0, 1), [0, 3, 1, 4]);
+        assert_eq!(ball(&g, 0, 2), [0, 3, 1, 4, 5, 2]);
+    }
+
     #[test]
     fn zero_layers_is_just_start() {
-        let g = path(5);
-        let mut scratch = BfsScratch::new(5);
-        let nodes = bfs_layers(&g, 2, 0, &mut scratch);
-        assert_eq!(nodes.len(), 1);
-        assert_eq!(nodes[0].node, 2);
-        assert_eq!(nodes[0].depth, 0);
+        assert_eq!(ball(&path(5), 2, 0), [2]);
     }
 
     #[test]
     fn layers_grow_along_path() {
         let g = path(7);
-        let mut scratch = BfsScratch::new(7);
-        let nodes = bfs_layers(&g, 3, 2, &mut scratch);
-        let mut ids: Vec<usize> = nodes.iter().map(|b| b.node).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
-        for b in &nodes {
-            assert!(b.depth <= 2);
-            if b.node != 3 {
-                // Predecessor is one step closer to the start.
-                let pd = nodes.iter().find(|x| x.node == b.pred).unwrap().depth;
-                assert_eq!(pd + 1, b.depth);
-            }
-        }
-    }
-
-    #[test]
-    fn pred_edges_reference_real_edges() {
-        let g = path(6);
-        let mut scratch = BfsScratch::new(6);
-        for b in bfs_layers(&g, 0, 3, &mut scratch) {
-            if b.node == 0 {
-                assert_eq!(b.pred_edge, usize::MAX);
-            } else {
-                let e = g.edge(b.pred_edge);
-                assert!(
-                    (e.u == b.pred && e.v == b.node) || (e.v == b.pred && e.u == b.node),
-                    "pred edge must connect pred and node"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_is_reusable_across_calls() {
-        let g = path(5);
-        let mut scratch = BfsScratch::new(5);
-        let a = bfs_layers(&g, 0, 1, &mut scratch);
-        let b = bfs_layers(&g, 4, 1, &mut scratch);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b[0].node, 4);
-    }
-
-    #[test]
-    fn mark_neighborhood_counts_nodes() {
-        let g = path(9);
-        let mut marks = vec![0u64; 9];
-        let mut queue = std::collections::VecDeque::new();
-        let count = mark_neighborhood(&g, 4, 2, &mut marks, 7, &mut queue);
-        assert_eq!(count, 5);
-        for (i, &m) in marks.iter().enumerate() {
-            let expect = (2..=6).contains(&i);
-            assert_eq!(m == 7, expect, "node {i}");
-        }
-        // Re-marking with the same stamp adds nothing.
-        let count2 = mark_neighborhood(&g, 4, 2, &mut marks, 7, &mut queue);
-        assert_eq!(count2, 0);
+        assert_eq!(ball(&g, 3, 1), [3, 2, 4]);
+        assert_eq!(ball(&g, 3, 2), [3, 2, 4, 1, 5]);
     }
 
     #[test]
     fn whole_graph_reached_with_large_layer_count() {
-        let g = path(6);
-        let mut scratch = BfsScratch::new(6);
-        let nodes = bfs_layers(&g, 0, 100, &mut scratch);
-        assert_eq!(nodes.len(), 6);
+        // A bound past the diameter reaches the whole component, and
+        // only it.
+        assert_eq!(ball(&path(6), 0, 100), [0, 1, 2, 3, 4, 5]);
+        let mut edges: Vec<(usize, usize, f64)> = (0..5).map(|i| (i, i + 1, 1.0)).collect();
+        edges.push((6, 7, 1.0));
+        let two = Graph::from_edges(8, &edges).unwrap();
+        assert_eq!(ball(&two, 0, usize::MAX), [0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn scratch_is_reusable_across_calls() {
+        // One `visited` array serves many searches, a fresh stamp each,
+        // and every search appends after what `out` already holds.
+        let g = path(5);
+        let mut visited = vec![0u64; 5];
+        let mut out = vec![9, 9];
+        bfs(&g, 4, 1, 1, &mut visited, &mut out).unwrap();
+        assert_eq!(out, [9, 9, 4, 3]);
+        bfs(&g, 3, 1, 2, &mut visited, &mut out).unwrap();
+        assert_eq!(out, [9, 9, 4, 3, 3, 2, 4]);
+    }
+
+    #[test]
+    fn stamped_nodes_are_neither_appended_nor_expanded() {
+        // Node 2 carries the stamp, so the search from 0 stops there and
+        // never reaches 3, although 3 is within its layers.
+        let g = path(5);
+        let mut visited = vec![0u64; 5];
+        visited[2] = 7;
+        let mut out = Vec::new();
+        bfs(&g, 0, 4, 7, &mut visited, &mut out).unwrap();
+        assert_eq!(out, [0, 1]);
+        assert_eq!(visited, [7, 7, 7, 0, 0]);
+        // A stamped start appends nothing; a new root under the same
+        // stamp continues the search without revisiting a node.
+        bfs(&g, 1, 4, 7, &mut visited, &mut out).unwrap();
+        assert_eq!(out, [0, 1]);
+        bfs(&g, 3, 4, 7, &mut visited, &mut out).unwrap();
+        assert_eq!(out, [0, 1, 3, 4]);
+    }
+
+    #[test]
+    fn ids_beyond_u32_are_errors() {
+        let g = path(3);
+        let mut visited = vec![0u64; 3];
+        let mut out = vec![5];
+        let big = u32::MAX as usize + 1;
+        assert_eq!(
+            bfs(&g, big, 1, 1, &mut visited, &mut out),
+            Err(GraphError::NodeOutOfBounds { node: big, num_nodes: 3 })
+        );
+        assert_eq!(
+            bfs(&g, 3, 1, 1, &mut visited, &mut out),
+            Err(GraphError::NodeOutOfBounds { node: 3, num_nodes: 3 })
+        );
+        assert_eq!(out, [5]);
+        assert_eq!(visited, [0, 0, 0]);
     }
 }

@@ -9,7 +9,7 @@
 use tracered_sparse::{CooMatrix, CscMatrix};
 
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{Edge, Graph};
 
 /// How the positive diagonal shift is chosen.
 ///
@@ -83,22 +83,7 @@ pub fn laplacian(g: &Graph, shift: ShiftPolicy) -> Result<CscMatrix, GraphError>
 ///
 /// Panics if `shifts.len() != g.num_nodes()`.
 pub fn laplacian_with_shifts(g: &Graph, shifts: &[f64]) -> CscMatrix {
-    let n = g.num_nodes();
-    assert_eq!(shifts.len(), n, "shift vector length must equal node count");
-    let mut coo = CooMatrix::with_capacity(n, n, 2 * g.num_edges() + n);
-    let mut diag = shifts.to_vec();
-    for e in g.edges() {
-        coo.push_symmetric(e.u, e.v, -e.weight)
-            .expect("graph invariants guarantee valid Laplacian entries");
-        diag[e.u] += e.weight;
-        diag[e.v] += e.weight;
-    }
-    for (i, &d) in diag.iter().enumerate() {
-        if d != 0.0 {
-            coo.push(i, i, d).expect("diagonal entry in bounds");
-        }
-    }
-    coo.to_csc()
+    assemble(g.num_nodes(), g.edges().iter().copied(), shifts)
 }
 
 /// Assembles the Laplacian of the subgraph given by `edge_ids`, using the
@@ -110,12 +95,18 @@ pub fn laplacian_with_shifts(g: &Graph, shifts: &[f64]) -> CscMatrix {
 /// Panics if `shifts.len() != g.num_nodes()` or an edge id is out of
 /// bounds.
 pub fn subgraph_laplacian(g: &Graph, edge_ids: &[usize], shifts: &[f64]) -> CscMatrix {
-    let n = g.num_nodes();
+    assemble(g.num_nodes(), edge_ids.iter().map(|&id| g.edge(id)), shifts)
+}
+
+/// `Σ_e w_e (e_u − e_v)(e_u − e_v)ᵀ + diag(shifts)` over `edges`, on `n`
+/// nodes. Each diagonal entry is its shift plus its edge weights summed
+/// in `edges` order, so the caller's edge order fixes the diagonal's
+/// bits.
+fn assemble(n: usize, edges: impl ExactSizeIterator<Item = Edge>, shifts: &[f64]) -> CscMatrix {
     assert_eq!(shifts.len(), n, "shift vector length must equal node count");
-    let mut coo = CooMatrix::with_capacity(n, n, 2 * edge_ids.len() + n);
+    let mut coo = CooMatrix::with_capacity(n, n, 2 * edges.len() + n);
     let mut diag = shifts.to_vec();
-    for &id in edge_ids {
-        let e = g.edge(id);
+    for e in edges {
         coo.push_symmetric(e.u, e.v, -e.weight)
             .expect("graph invariants guarantee valid Laplacian entries");
         diag[e.u] += e.weight;

@@ -9,10 +9,12 @@
 //! - Matrix Market import/export ([`mmio`]);
 //! - union-find ([`unionfind`]) and maximum effective-weight spanning
 //!   trees ([`mst`], feGRASS's MEWST);
-//! - rooted-tree utilities with effective resistances and tree paths
-//!   ([`tree`]), plus Tarjan's offline LCA ([`lca`]);
-//! - β-layer BFS neighbourhoods ([`bfs`]) used by the paper's truncated
-//!   trace reduction.
+//! - rooted-tree utilities with effective resistances and preorder
+//!   intervals ([`tree`]), plus Tarjan's offline LCA ([`lca`]);
+//! - one bounded BFS ([`bfs`]) serving the subgraph phase's β-ball
+//!   table (the paper's truncated trace reduction), the scoring
+//!   evaluators' locality order and similarity exclusion's γ-layer
+//!   marking.
 //!
 //! # Example
 //!

@@ -74,11 +74,6 @@ impl Trace {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
-    /// Summed duration of all spans with this exact name.
-    pub fn span_total(&self, name: &str) -> Duration {
-        Duration::from_nanos(self.spans.iter().filter(|s| s.name == name).map(|s| s.dur_ns).sum())
-    }
-
     /// Per-path aggregates, sorted by path (parents sort before their
     /// children).
     pub fn aggregate(&self) -> Vec<SpanAgg> {

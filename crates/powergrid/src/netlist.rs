@@ -145,11 +145,6 @@ impl PowerGrid {
         laplacian_with_shifts(&self.graph, &shifts)
     }
 
-    /// Total current drawn by all sources at time `t`.
-    pub fn total_draw(&self, t: f64) -> f64 {
-        self.sources.iter().map(|s| s.waveform.value(t)).sum()
-    }
-
     /// Backward-Euler right-hand side at time `t_next`:
     /// `b = (C/h)·v_prev + G_pad·VDD − I(t_next)`.
     ///

@@ -267,13 +267,4 @@ impl Ticket {
     pub fn wait(self) -> ServiceResult {
         self.rx.recv().unwrap_or(Err(ServiceError::ServiceStopped))
     }
-
-    /// Non-blocking poll: `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<ServiceResult> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServiceError::ServiceStopped)),
-        }
-    }
 }

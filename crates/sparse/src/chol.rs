@@ -67,10 +67,37 @@ impl SymbolicCholesky {
         &self.parent
     }
 
-    /// The factor column pointers (length `n + 1`), for the supernodal
-    /// kernel's structure sweep.
+    /// The factor column pointers (length `n + 1`).
     pub(crate) fn lcolptr(&self) -> &[usize] {
         &self.lcolptr
+    }
+
+    /// The exact row-index array of `L` for the analysed upper triangle
+    /// `upper` (the full symbolic pattern, sorted ascending per column
+    /// with the diagonal first), by replaying the up-looking kernel's
+    /// `ereach` sweep without arithmetic. `O(nnz(L))`. The supernodal
+    /// kernel and the rank-1 update's pattern refresh both build their
+    /// factor structure here.
+    pub(crate) fn factor_structure(&self, upper: &CscMatrix) -> Vec<usize> {
+        let n = self.n();
+        let mut lrowidx = vec![0usize; self.factor_nnz()];
+        let mut next: Vec<usize> = self.lcolptr.to_vec();
+        let mut stack = vec![0usize; n];
+        let mut wmark = vec![usize::MAX; n];
+        for k in 0..n {
+            let top = etree::ereach(upper, k, &self.parent, &mut stack, &mut wmark);
+            for &j in &stack[top..n] {
+                lrowidx[next[j]] = k;
+                next[j] += 1;
+            }
+            lrowidx[next[k]] = k;
+            next[k] += 1;
+        }
+        debug_assert!(
+            (0..n).all(|j| next[j] == self.lcolptr[j + 1]),
+            "structure sweep must fill the symbolic counts exactly"
+        );
+        lrowidx
     }
 
     /// Nonzeros per factor column (including the diagonal), from the

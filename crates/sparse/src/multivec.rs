@@ -102,25 +102,6 @@ impl MultiVec {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Two distinct columns, the first mutably — the shape of the fused
-    /// per-column vector updates in block PCG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either index is out of bounds.
-    pub fn col_mut_and(&mut self, a: usize, b: usize) -> (&mut [f64], &[f64]) {
-        assert!(a != b, "columns must be distinct");
-        assert!(a < self.ncols && b < self.ncols, "column out of bounds");
-        let n = self.nrows;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * n);
-            (&mut lo[a * n..(a + 1) * n], &hi[..n])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * n);
-            (&mut hi[..n], &lo[b * n..(b + 1) * n])
-        }
-    }
-
     /// Iterates over columns as slices. Always yields exactly
     /// [`MultiVec::ncols`] items, even for a zero-height block.
     pub fn cols(&self) -> impl Iterator<Item = &[f64]> {
@@ -175,11 +156,6 @@ impl MultiVec {
         assert!(ncols <= self.ncols, "cannot grow via truncate_cols");
         self.ncols = ncols;
         self.data.truncate(ncols * self.nrows);
-    }
-
-    /// Sets every entry to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// The whole block as one flat column-major slice.
@@ -241,19 +217,6 @@ mod tests {
         assert_eq!(m.col(1), &[2.0, 2.0]);
         m.swap_cols(1, 1); // self-swap is a no-op
         assert_eq!(m.col(1), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn col_mut_and_returns_disjoint_views() {
-        let mut m = MultiVec::from_columns(&[&[1.0], &[2.0], &[3.0]]).unwrap();
-        {
-            let (a, b) = m.col_mut_and(2, 0);
-            a[0] += b[0];
-        }
-        assert_eq!(m.col(2), &[4.0]);
-        let (a, b) = m.col_mut_and(0, 2);
-        a[0] = b[0] * 10.0;
-        assert_eq!(m.col(0), &[40.0]);
     }
 
     #[test]

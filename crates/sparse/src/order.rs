@@ -17,6 +17,7 @@
 
 mod amd;
 
+use crate::chol::SymbolicCholesky;
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
 use crate::perm::Permutation;
@@ -186,9 +187,7 @@ pub fn select_ordering(
     let mut best: Option<(Ordering, Permutation, usize)> = None;
     for &ord in candidates {
         let perm = ord.compute(a)?;
-        let upper = a.symmetric_perm_upper(&perm)?;
-        let parent = crate::etree::elimination_tree(&upper);
-        let fill: usize = crate::etree::column_counts(&upper, &parent).iter().sum();
+        let fill = SymbolicCholesky::analyze(&a.symmetric_perm_upper(&perm)?)?.factor_nnz();
         if best.as_ref().map(|b| fill < b.2).unwrap_or(true) {
             best = Some((ord, perm, fill));
         }

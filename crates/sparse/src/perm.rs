@@ -80,11 +80,6 @@ impl Permutation {
         self.old_to_new[i]
     }
 
-    /// The new-to-old map as a slice.
-    pub fn as_new_to_old(&self) -> &[usize] {
-        &self.new_to_old
-    }
-
     /// The old-to-new map as a slice.
     pub fn as_old_to_new(&self) -> &[usize] {
         &self.old_to_new

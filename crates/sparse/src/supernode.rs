@@ -98,12 +98,12 @@ impl SupernodePartition {
     /// Detects the supernode partition for the upper triangle `c` of an
     /// already-permuted matrix with its symbolic analysis.
     pub fn from_symbolic(c: &CscMatrix, symbolic: &SymbolicCholesky) -> Self {
-        let structure = factor_structure(c, symbolic);
-        Self::from_structure(symbolic, &structure)
+        Self::from_structure(symbolic, &symbolic.factor_structure(c))
     }
 
     /// Detection from a precomputed factor row-index array (the exact
-    /// per-column pattern of `L`, as built by [`factor_structure`]).
+    /// per-column pattern of `L`, as built by
+    /// [`SymbolicCholesky::factor_structure`]).
     pub(crate) fn from_structure(symbolic: &SymbolicCholesky, lrowidx: &[usize]) -> Self {
         let n = symbolic.n();
         let parent = symbolic.parent();
@@ -278,32 +278,6 @@ fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Builds the exact row-index array of `L` (the full symbolic pattern,
-/// sorted ascending per column with the diagonal first) by replaying the
-/// up-looking kernel's `ereach` sweep without arithmetic. `O(nnz(L))`.
-pub(crate) fn factor_structure(c: &CscMatrix, symbolic: &SymbolicCholesky) -> Vec<usize> {
-    let n = c.ncols();
-    let lcolptr = symbolic.lcolptr();
-    let mut lrowidx = vec![0usize; symbolic.factor_nnz()];
-    let mut next: Vec<usize> = lcolptr.to_vec();
-    let mut stack = vec![0usize; n];
-    let mut wmark = vec![usize::MAX; n];
-    for k in 0..n {
-        let top = etree::ereach(c, k, symbolic.parent(), &mut stack, &mut wmark);
-        for &j in &stack[top..n] {
-            lrowidx[next[j]] = k;
-            next[j] += 1;
-        }
-        lrowidx[next[k]] = k;
-        next[k] += 1;
-    }
-    debug_assert!(
-        (0..n).all(|j| next[j] == lcolptr[j + 1]),
-        "structure sweep must fill the symbolic counts exactly"
-    );
-    lrowidx
 }
 
 /// Per-target update lists: `updates[s]` holds `(d, off)` pairs meaning
@@ -719,7 +693,7 @@ pub(crate) fn numeric_supernodal(
     // The row structure is part of the numeric phase, as the scalar
     // kernel's per-row `ereach` is.
     let mut span = tracered_obs::span!("chol.numeric", { n: n, nnz: symbolic.factor_nnz() });
-    let lrowidx = factor_structure(c, symbolic);
+    let lrowidx = symbolic.factor_structure(c);
     let part = SupernodePartition::from_structure(symbolic, &lrowidx);
     let updates = build_updates(&part);
     if let Some(g) = span.as_mut() {

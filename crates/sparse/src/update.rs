@@ -67,10 +67,9 @@
 //! # }
 //! ```
 
-use crate::chol::CholeskyFactor;
+use crate::chol::{CholeskyFactor, SymbolicCholesky};
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
-use crate::etree;
 
 /// Cap on remembered operations: a sweep that applies and reverts in
 /// LIFO order (the contingency pattern) never holds more than one live
@@ -304,35 +303,12 @@ fn refreshed_pattern(l: &CscMatrix, supp: &[usize]) -> Result<CscMatrix, SparseE
     }
     let nnz = rowidx.len();
     let upper = CscMatrix::from_raw_parts(n, n, colptr, rowidx, vec![1.0; nnz])?;
-
-    let parent = etree::elimination_tree(&upper);
-    let counts = etree::column_counts(&upper, &parent);
-    let mut lcolptr = vec![0usize; n + 1];
-    for j in 0..n {
-        lcolptr[j + 1] = lcolptr[j] + counts[j];
-    }
-    let lnnz = lcolptr[n];
-    let mut lrowidx = vec![0usize; lnnz];
-    // Diagonal first, then row k appended to every column of its ereach;
-    // k ascends, so each column's rows come out sorted.
-    let mut next: Vec<usize> = lcolptr[..n].to_vec();
-    for j in 0..n {
-        lrowidx[next[j]] = j;
-        next[j] += 1;
-    }
-    let mut stack = vec![0usize; n];
-    let mut wmark = vec![usize::MAX; n];
-    for k in 0..n {
-        let top = etree::ereach(&upper, k, &parent, &mut stack, &mut wmark);
-        for &j in &stack[top..n] {
-            lrowidx[next[j]] = k;
-            next[j] += 1;
-        }
-    }
-    debug_assert!(next.iter().zip(&lcolptr[1..]).all(|(a, b)| a == b));
+    let symbolic = SymbolicCholesky::analyze(&upper)?;
+    let lcolptr = symbolic.lcolptr().to_vec();
+    let lrowidx = symbolic.factor_structure(&upper);
 
     // Two-pointer merge of old values into the superset pattern.
-    let mut lvalues = vec![0.0f64; lnnz];
+    let mut lvalues = vec![0.0f64; lrowidx.len()];
     for j in 0..n {
         let (old_rows, old_vals) = l.col(j);
         let new_rows = &lrowidx[lcolptr[j]..lcolptr[j + 1]];
